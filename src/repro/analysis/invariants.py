@@ -22,7 +22,9 @@ conservation laws the simulator's distributed state must obey:
     recounts.
 ``gating-state``
     Sleep/wakeup bookkeeping in the gating controller is consistent
-    with each router's power state.
+    with each router's power state: the per-subnet SLEEP and WAKEUP
+    sets name exactly the routers in those states, and every sleeping
+    or waking router has an open period or a scheduled wake.
 ``priority-selection``
     The strict-priority (Catnap) selection policy never skips a
     non-congested lower-order subnet.
@@ -462,6 +464,29 @@ class InvariantChecker:
         self.counts["gating-state"] += 1
         gating = self.fabric.gating
         for network in self.fabric.subnets:
+            subnet = network.subnet
+            asleep: set[int] = set()
+            waking: set[int] = set()
+            for router in network.routers:
+                if router.power_state == PowerState.SLEEP:
+                    asleep.add(router.node)
+                elif router.power_state == PowerState.WAKEUP:
+                    waking.add(router.node)
+            for label, truth, tracked in (
+                ("SLEEP", asleep, gating.asleep[subnet]),
+                ("WAKEUP", waking, gating.waking[subnet]),
+            ):
+                if truth != tracked:
+                    raise InvariantViolation(
+                        "gating-state",
+                        cycle,
+                        f"subnet {subnet}: the controller's {label} "
+                        f"set misses node(s) {sorted(truth - tracked)} "
+                        f"and wrongly lists node(s) "
+                        f"{sorted(tracked - truth)} (residency is "
+                        "charged from this set, so a power transition "
+                        "went untracked)",
+                    )
             for router in network.routers:
                 state = gating.state_of(router)
                 if (

@@ -12,10 +12,21 @@ evaluated in the paper:
   the round-robin Multi-NoC baseline: switch off after the idle-detect
   window regardless of congestion; wake only on look-ahead wakeups.
 
+Subnet 0 has no lower-order subnet, so when it is gated at all
+(``keep_subnet0_active=False``) it gates on idleness and look-ahead
+wakeups alone, like the baseline policy.
+
 The controller also keeps the accounting the paper reports: compensated
 sleep cycles (CSC = per-period sleep length minus T-breakeven, from Hu
 et al.), state-residency cycles, and transition counts.
 
+The controller is event-driven: each subnet keeps the nodes of its
+SLEEP and WAKEUP routers as sets, residency is charged in bulk from
+their sizes, and a cycle visits only routers whose decision can change
+— the awake routers of gated subnets, waking routers, and sleeping
+routers with a pending wake or a set lower-order status bit.  In
+Catnap's low-load regime (subnet 0 always on, subnets 1–3 asleep) a
+cycle therefore costs O(subnets), not O(routers).
 :meth:`PowerGatingController.step` is the ``gating`` phase of the
 simulator's self-profile (``REPRO_PERF=1``, see ``docs/perf.md``) —
 use it to see what this controller costs per simulated cycle.
@@ -134,7 +145,18 @@ class PowerGatingController:
             for network in subnets
             for router in network.routers
         }
-        self._pending_wakes: set[int] = set()
+        #: asleep[subnet] / waking[subnet]: nodes whose router is in
+        #: the SLEEP / WAKEUP state.  Every router starts ACTIVE, so
+        #: both start empty; :meth:`step` keeps them in step with
+        #: ``router.power_state`` and charges residency from their
+        #: sizes.  Read-only outside this class.
+        self.asleep: list[set[int]] = [set() for _ in subnets]
+        self.waking: list[set[int]] = [set() for _ in subnets]
+        self._all_nodes = frozenset(
+            range(len(subnets[0].routers)) if subnets else ()
+        )
+        # _pending_wakes[subnet]: nodes with a wake request this cycle.
+        self._pending_wakes: list[set[int]] = [set() for _ in subnets]
         self._router_by_id = {
             id(router): router
             for network in subnets
@@ -163,7 +185,7 @@ class PowerGatingController:
         if self.policy == GatingPolicy.NONE:
             return
         if router.power_state == PowerState.SLEEP:
-            self._pending_wakes.add(id(router))
+            self._pending_wakes[router.subnet].add(router.node)
             self.stats[router.subnet].wake_requests += 1
 
     # ------------------------------------------------------------------
@@ -245,8 +267,9 @@ class PowerGatingController:
             timeout = timeouts.get(key, float(self._wake_timeout))
             if cycle - started < timeout:
                 continue
-            self._pending_wakes.add(key)
-            self.stats[self._router_by_id[key].subnet].wake_requests += 1
+            router = self._router_by_id[key]
+            self._pending_wakes[router.subnet].add(router.node)
+            self.stats[router.subnet].wake_requests += 1
             self.forced_wakes += 1
             forced += 1
             since[key] = cycle
@@ -260,22 +283,67 @@ class PowerGatingController:
     # Per-cycle evaluation
     # ------------------------------------------------------------------
     def step(self, cycle: int) -> None:
-        """Advance idle counters and run all power-state transitions."""
+        """Charge state residency and run this cycle's power transitions.
+
+        Residency is charged in bulk from the per-subnet SLEEP and
+        WAKEUP sets.  Only routers whose state can change are visited,
+        in node order within each subnet so transitions fire in the
+        same (subnet, node) order as a full scan:
+
+        * awake routers of gated subnets (idle counting, switch-off);
+        * waking routers (wakeup completion);
+        * sleeping routers with a pending wake request, or whose
+          lower-order gating status (RCS region, or the node's LCS in
+          the BFM-local variant) is set.
+
+        Under the ``none`` policy a cycle is O(subnets); with every
+        gated router asleep and no wake source it is O(subnets) too.
+        """
         if self.policy == GatingPolicy.NONE:
             for subnet_idx, network in enumerate(self.subnets):
                 self.stats[subnet_idx].active_cycles += len(network.routers)
             return
         rcs_policy = self.policy == GatingPolicy.RCS
         monitor = self.monitor
-        pending = self._pending_wakes
+        detect = self.idle_detect_cycles
+        all_nodes = self._all_nodes
         for subnet_idx, network in enumerate(self.subnets):
             stats = self.stats[subnet_idx]
+            routers = network.routers
+            asleep = self.asleep[subnet_idx]
+            waking = self.waking[subnet_idx]
+            pending = self._pending_wakes[subnet_idx]
+            n_sleep = len(asleep)
+            n_wake = len(waking)
+            stats.active_cycles += len(routers) - n_sleep - n_wake
+            stats.sleep_cycles += n_sleep
+            stats.wakeup_cycles += n_wake
             gate_this_subnet = not (self.keep_subnet0 and subnet_idx == 0)
-            lower = subnet_idx - 1
-            for router in network.routers:
+            # Subnet 0 has no lower-order subnet to condition on.
+            lower = subnet_idx - 1 if rcs_policy and subnet_idx else -1
+            rousable = pending
+            if n_sleep and lower >= 0:
+                hot = monitor.gating_nodes(lower)
+                if hot:
+                    rousable = pending | hot
+            if gate_this_subnet and n_sleep + n_wake < len(routers):
+                # Awake routers count idle cycles and may switch off.
+                nodes = all_nodes - asleep if n_sleep else all_nodes
+            else:
+                nodes = waking
+            if n_sleep and rousable:
+                nodes = nodes | (asleep & rousable)
+            if not nodes:
+                pending.clear()
+                continue
+            visit = (
+                routers
+                if len(nodes) == len(routers)
+                else [routers[node] for node in sorted(nodes)]
+            )
+            for router in visit:
                 state = router.power_state
                 if state == PowerState.ACTIVE:
-                    stats.active_cycles += 1
                     if not gate_this_subnet:
                         continue
                     if router.is_drained:
@@ -283,27 +351,45 @@ class PowerGatingController:
                     else:
                         router.idle_cycles = 0
                         continue
-                    if router.idle_cycles < self.idle_detect_cycles:
+                    if router.idle_cycles < detect:
                         continue
-                    if rcs_policy and monitor.gating_status(
+                    if lower >= 0 and monitor.gating_status(
                         router.node, lower
                     ):
                         continue
                     self._sleep(router, cycle)
                 elif state == PowerState.SLEEP:
-                    stats.sleep_cycles += 1
-                    wake = id(router) in pending
-                    if not wake and rcs_policy and monitor.gating_status(
-                        router.node, lower
+                    if router.node not in pending and not (
+                        lower >= 0
+                        and monitor.gating_status(router.node, lower)
                     ):
-                        wake = True
-                    if wake:
-                        self._begin_wakeup(router, cycle, stats)
+                        continue
+                    self._begin_wakeup(router, cycle, stats)
                 else:  # WAKEUP
-                    stats.wakeup_cycles += 1
-                    if cycle >= self._state[id(router)].wake_ready:
-                        self._wake_complete(router, cycle)
-        pending.clear()
+                    if cycle < self._state[id(router)].wake_ready:
+                        continue
+                    self._wake_complete(router, cycle)
+                # The transition methods may be shadowed (fault taps
+                # suppress them), so file the router by the state it
+                # actually ended in rather than the one requested.
+                self._refile(router)
+            pending.clear()
+
+    def _refile(self, router: Router) -> None:
+        """Move ``router`` into the SLEEP/WAKEUP set its state names."""
+        node = router.node
+        asleep = self.asleep[router.subnet]
+        waking = self.waking[router.subnet]
+        state = router.power_state
+        if state == PowerState.SLEEP:
+            asleep.add(node)
+            waking.discard(node)
+        elif state == PowerState.WAKEUP:
+            waking.add(node)
+            asleep.discard(node)
+        else:
+            asleep.discard(node)
+            waking.discard(node)
 
     # The three transition methods below are the telemetry probe
     # points: repro.telemetry shadows them with instance attributes to
@@ -364,14 +450,12 @@ class PowerGatingController:
         """Close still-open sleep periods at the end of a simulation."""
         if self.policy == GatingPolicy.NONE:
             return
-        for network in self.subnets:
+        for network, asleep in zip(self.subnets, self.asleep):
             stats = self.stats[network.subnet]
-            for router in network.routers:
+            for node in sorted(asleep):
+                router = network.routers[node]
                 state = self._state[id(router)]
-                if (
-                    router.power_state == PowerState.SLEEP
-                    and state.sleep_start >= 0
-                ):
+                if state.sleep_start >= 0:
                     self._close_period(router, state, cycle, stats)
 
     def total_stats(self) -> GatingStats:

@@ -16,7 +16,7 @@ regional OR-network update timed separately as ``regional_update``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, AbstractSet
 
 from repro.core.congestion import HysteresisLatch, make_metric
 from repro.core.regional import RegionalCongestionNetwork
@@ -172,6 +172,20 @@ class CongestionMonitor:
         if self.use_regional:
             return self.regional.rcs(subnet, node)
         return self.lcs[subnet][node]
+
+    def gating_nodes(self, subnet: int) -> AbstractSet[int]:
+        """Nodes at which :meth:`gating_status` is set for ``subnet``.
+
+        The event-driven gating controller asks this once per gated
+        subnet per cycle instead of querying every sleeping router;
+        it is empty (and cheap) whenever the subnet is uncongested.
+        """
+        if self.use_regional:
+            return self.regional.congested_nodes(subnet)
+        row = self.lcs[subnet]
+        if True not in row:
+            return frozenset()
+        return {node for node, bit in enumerate(row) if bit}
 
     def lcs_count(self, subnet: int) -> int:
         """Number of nodes whose latched LCS is set for ``subnet``.

@@ -11,6 +11,8 @@ of 8.7 pJ per transition; both are modelled here.
 
 from __future__ import annotations
 
+from typing import AbstractSet
+
 from repro.noc.topology import ConcentratedMesh
 
 __all__ = ["RegionalCongestionNetwork", "OR_NETWORK_SWITCH_ENERGY_J"]
@@ -53,6 +55,12 @@ class RegionalCongestionNetwork:
             + (mesh.coordinates(node)[0] * div_x // mesh.cols)
             for node in range(mesh.num_nodes)
         ]
+        # _region_nodes[region]: the nodes that read that region's bit.
+        self._region_nodes: list[list[int]] = [
+            [] for _ in range(self.num_regions)
+        ]
+        for node, region in enumerate(self._region_of):
+            self._region_nodes[region].append(node)
         # rcs[subnet][region]: the latched bit all nodes in the region read.
         self._rcs = [
             [False] * self.num_regions for _ in range(num_subnets)
@@ -134,6 +142,17 @@ class RegionalCongestionNetwork:
     def rcs(self, subnet: int, node: int) -> bool:
         """Latched regional congestion bit visible at ``node``."""
         return self._rcs[subnet][self._region_of[node]]
+
+    def congested_nodes(self, subnet: int) -> AbstractSet[int]:
+        """Every node whose latched regional bit is set for ``subnet``."""
+        row = self._rcs[subnet]
+        if True not in row:
+            return frozenset()
+        nodes: set[int] = set()
+        for region, bit in enumerate(row):
+            if bit:
+                nodes.update(self._region_nodes[region])
+        return nodes
 
     def rcs_region(self, subnet: int, region: int) -> bool:
         """Latched regional congestion bit of ``region`` directly."""

@@ -435,22 +435,6 @@ class SkipBackend(FabricBackend):
         ni_fast = self._ni_fast
         source_step = source.step if source is not None else None
         quiet_source = self._source_quiet_probe(source)
-        gating_none = gating.policy == GatingPolicy.NONE
-        # Batched gating stats for the NONE policy (flushed before any
-        # checker pass and at span exit, so observers see exact counts):
-        # under NONE every router of every subnet is active every cycle,
-        # so a cycle count per span reconstructs the stats exactly.
-        none_cycles = 0
-
-        def flush_none() -> None:
-            nonlocal none_cycles
-            if none_cycles:
-                for idx, network in enumerate(subnets):
-                    gating.stats[idx].active_cycles += (
-                        none_cycles * len(network.routers)
-                    )
-                none_cycles = 0
-
         cycle = fabric.cycle
         while cycle < end:
             if source_step is not None:
@@ -500,20 +484,14 @@ class SkipBackend(FabricBackend):
                 # Dense step_routers integrates occupancy after this
                 # subnet's ejections, so the post-step count is charged.
                 network.counters.flit_cycles += network.flits_in_network
-            if gating_none:
-                none_cycles += 1
-            else:
-                gating.step(cycle)
+            gating.step(cycle)
             cycle += 1
             fabric.cycle = cycle
             if checker is not None:
-                flush_none()
                 checker.note_steps(1, cycle - 1)
             if not fabric_active and quiet_source(cycle):
                 if self._quiescent():
-                    flush_none()
                     return False
-        flush_none()
         return True
 
     def _step_nis(self, cycle: int) -> bool:
@@ -903,7 +881,7 @@ class SkipBackend(FabricBackend):
         if any(any(row) for row in monitor.regional._rcs):
             return False
         gating = fabric.gating
-        if gating._pending_wakes or gating._wake_timeout is not None:
+        if any(gating._pending_wakes) or gating._wake_timeout is not None:
             return False
         return True
 
@@ -932,7 +910,13 @@ class SkipBackend(FabricBackend):
             checker.note_steps(span, horizon - 1)
 
     def _advance_gating(self, start: int, end: int) -> None:
-        """Closed-form gating over quiescent cycles ``[start, end)``."""
+        """Closed-form gating over quiescent cycles ``[start, end)``.
+
+        Sleeping routers stay asleep (a quiescent span has no wake
+        request and no congestion), so they are charged in bulk from
+        the controller's per-subnet SLEEP sets; only awake and waking
+        routers are walked, in node order as the dense step would.
+        """
         gating = self.fabric.gating
         span = end - start
         if gating.policy == GatingPolicy.NONE:
@@ -944,11 +928,14 @@ class SkipBackend(FabricBackend):
         detect = gating.idle_detect_cycles
         for subnet_idx, network in enumerate(gating.subnets):
             stats = gating.stats[subnet_idx]
-            gate_this_subnet = not (gating.keep_subnet0 and subnet_idx == 0)
-            for router in network.routers:
-                if not gate_this_subnet:
-                    stats.active_cycles += span
-                    continue
+            if gating.keep_subnet0 and subnet_idx == 0:
+                stats.active_cycles += span * len(network.routers)
+                continue
+            asleep = gating.asleep[subnet_idx]
+            stats.sleep_cycles += span * len(asleep)
+            routers = network.routers
+            for node in sorted(gating._all_nodes - asleep):
+                router = routers[node]
                 t = start
                 while t < end:
                     state = router.power_state
@@ -970,9 +957,10 @@ class SkipBackend(FabricBackend):
                             stats.active_cycles += sleep_at - t + 1
                             router.idle_cycles += sleep_at - t + 1
                             gating._sleep(router, sleep_at)
+                            gating._refile(router)
                             t = sleep_at + 1
                     else:  # WAKEUP
-                        ready = gating._state[id(router)].wake_ready
+                        ready = gating.state_of(router).wake_ready
                         done_at = ready if ready > t else t
                         if done_at >= end:
                             stats.wakeup_cycles += end - t
@@ -980,6 +968,7 @@ class SkipBackend(FabricBackend):
                         else:
                             stats.wakeup_cycles += done_at - t + 1
                             gating._wake_complete(router, done_at)
+                            gating._refile(router)
                             t = done_at + 1
 
 

@@ -182,6 +182,10 @@ class SubnetNetwork:
 
     def step_routers(self, cycle: int) -> None:
         """Run switch allocation + traversal on every busy router."""
+        if not self.flits_in_network:
+            # Nothing buffered or in flight: no router is busy and the
+            # occupancy integral gains nothing.
+            return
         for router in self.routers:
             if router.buffered_flits:
                 router.step(cycle)

@@ -52,6 +52,33 @@ class TestSleepTransitions:
             r.power_state == PowerState.ACTIVE for r in subnet0.routers
         )
 
+    def test_subnet0_ignores_top_subnet_rcs_when_gated(self):
+        # Subnet 0 has no lower-order subnet: with keep_subnet0_active
+        # off it gates on idleness alone, whatever subnet N-1's RCS.
+        fabric = gated_fabric(
+            gating=PowerGatingConfig(enabled=True, keep_subnet0_active=False)
+        )
+        assert fabric.gating.policy == GatingPolicy.RCS
+        regional = fabric.monitor.regional
+        top = fabric.config.num_subnets - 1
+        latch = regional.update
+
+        def update_with_top_rcs_on(cycle, lcs):
+            latch(cycle, lcs)
+            for region in range(regional.num_regions):
+                regional.force_rcs(top, region, True)
+
+        regional.update = update_with_top_rcs_on
+        for _ in range(fabric.config.gating.idle_detect_cycles + 3):
+            fabric.step()
+        assert all(
+            regional.rcs(top, node) for node in range(fabric.mesh.num_nodes)
+        )
+        assert all(
+            r.power_state == PowerState.SLEEP
+            for r in fabric.subnets[0].routers
+        )
+
     def test_baseline_gates_everything(self):
         fabric = gated_fabric(
             num_subnets=1, link_width_bits=256,

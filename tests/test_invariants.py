@@ -275,6 +275,21 @@ class TestMutations:
         assert err.value.invariant == "gated-arrival"
         assert "in flight toward" in err.value.details
 
+    def test_untracked_sleep_transition_is_caught(self, backend):
+        fabric = MultiNocFabric(gated_config(), seed=9, backend=backend)
+        InvariantChecker(fabric).attach()
+        fabric.run(fabric.config.gating.idle_detect_cycles + 3)
+        asleep = fabric.gating.asleep[1]
+        assert asleep, "idle subnet 1 never went to sleep"
+        node = min(asleep)
+        asleep.discard(node)  # the controller loses track of a sleeper
+        with pytest.raises(InvariantViolation) as err:
+            fabric.run(1)
+        assert err.value.invariant == "gating-state"
+        assert "subnet 1" in err.value.details
+        assert "SLEEP set" in err.value.details
+        assert f"misses node(s) [{node}]" in err.value.details
+
     def test_priority_skip_is_caught(self, backend):
         class _SkippingPolicy:
             """Strict-priority claimant that actually skips subnet 0."""
