@@ -251,15 +251,16 @@ class InvariantChecker:
     def note_steps(self, count: int, cycle: int) -> None:
         """Register ``count`` cycles executed outside the shadowed step.
 
-        The skip backend (:mod:`repro.noc.backend`) advances the fabric
-        without calling ``fabric.step``, so it reports progress here to
-        keep the checking cadence: the counter advances by ``count``
-        and, whenever it crosses the interval, :meth:`check_now` runs
-        against the state at ``cycle`` (the last cycle of the batch).
-        For single-cycle batches this is exactly ``_checked_step``'s
-        behaviour; for quiescence jumps it checks once at the landing
-        cycle — sound because the laws hold at every cycle boundary and
-        nothing but gating bookkeeping changes during a jump.
+        The skip backend (:mod:`repro.noc.backend`) leaps over
+        quiescent spans without calling ``fabric.step``, so it reports
+        each leap here to keep the checking cadence: the counter
+        advances by ``count`` and, whenever it crosses the interval,
+        :meth:`check_now` runs against the state at ``cycle`` (the last
+        cycle of the batch).  For single-cycle batches this is exactly
+        ``_checked_step``'s behaviour; for a leap it checks once at the
+        landing cycle — sound because the laws hold at every cycle
+        boundary and nothing but gating bookkeeping changes during a
+        leap.
         """
         total = self._since_check + count
         if total >= self.interval:

@@ -12,7 +12,6 @@ Usage::
     catnap-experiments fig06 --perf                  # phase profile
     catnap-experiments fig06 --faults rate=0.001     # fault injection
     catnap-experiments fig06 --explain               # latency/energy attribution
-    catnap-experiments fig06 --backend skip          # skip-ahead kernel
     catnap-experiments ext_serving --workload llm:batch=8   # serving mix
     catnap-experiments analysis lint                 # static lint passes
 
@@ -22,11 +21,16 @@ delegated to :mod:`repro.experiments.runner`: ``--jobs``/``--no-cache``
 /``--cache-dir`` set the corresponding ``REPRO_JOBS`` /
 ``REPRO_NO_CACHE`` / ``REPRO_CACHE_DIR`` environment variables so every
 driver (and anything it spawns) sees the same policy.
+
+There is one simulation kernel and no flag to choose it: every fabric
+steps its busy cycles and leaps over quiescent spans, with results
+byte-identical to stepping every cycle (``docs/architecture.md``).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -383,14 +387,6 @@ def main(argv: list[str] | None = None) -> int:
         "tenants:rates=0.1,0.05",
     )
     parser.add_argument(
-        "--backend",
-        metavar="NAME",
-        default=None,
-        help="run with REPRO_BACKEND=NAME: simulation kernel for every "
-        "fabric — 'dense' steps each cycle, 'skip' jumps idle spans "
-        "(byte-identical results; see docs/architecture.md)",
-    )
-    parser.add_argument(
         "--percentiles",
         action="store_true",
         help="append latency p50/p95/p99 columns to tables that "
@@ -414,6 +410,8 @@ def main(argv: list[str] | None = None) -> int:
         for name in EXPERIMENTS:
             print(name)
         return 0
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        parser.error("--scale must be a finite number > 0")
     if args.jobs is not None:
         if args.jobs < 1:
             parser.error("--jobs must be >= 1")
@@ -459,25 +457,6 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             parser.error(f"--workload: {exc}")
         os.environ["REPRO_WORKLOADS"] = args.workload
-    if args.backend is not None:
-        # Validate here so a typo fails fast with a usage error rather
-        # than as one captured failure per sweep point (mirrors
-        # --faults).
-        from repro.noc.backend import DEFAULT_BACKEND, backend_names
-
-        if args.backend not in backend_names():
-            parser.error(
-                f"--backend: unknown backend {args.backend!r}; "
-                f"choose from {', '.join(backend_names())}"
-            )
-        # Environment (not a parameter) so forked sweep workers build
-        # every fabric on the selected kernel.  Backends are
-        # result-equivalent by contract, but a cache hit would silently
-        # skip exercising the requested kernel — so any non-default
-        # choice disables caching wholesale (mirrors --check).
-        os.environ["REPRO_BACKEND"] = args.backend
-        if args.backend != DEFAULT_BACKEND:
-            os.environ["REPRO_NO_CACHE"] = "1"
     if args.trace_out is not None:
         os.environ["REPRO_TELEMETRY_DIR"] = str(args.trace_out)
         args.telemetry = True

@@ -249,7 +249,7 @@ class ExplainHub:
         """Install every probe on the fabric; returns ``self``.
 
         ``fabric.step`` is always shadowed (even latency-only): the
-        skip kernel defers to dense per-cycle semantics whenever a
+        default kernel never leaps over quiescent spans while a
         non-checker shadow owns ``step``, which is exactly what makes
         attribution byte-identical across backends.
         """

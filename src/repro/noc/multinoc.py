@@ -20,7 +20,7 @@ from typing import Callable
 from repro.core.gating import GatingStats, PowerGatingController
 from repro.core.monitor import CongestionMonitor
 from repro.core.policies import make_policy
-from repro.noc.backend import backend_from_env, make_backend
+from repro.noc.backend import DEFAULT_BACKEND, make_backend
 from repro.noc.config import NocConfig
 from repro.noc.flit import Packet
 from repro.noc.interface import NetworkInterface
@@ -127,11 +127,12 @@ class MultiNocFabric:
             for network in self.subnets:
                 for router in network.routers:
                     router.track_blocking = True
-        # Time-loop kernel (repro.noc.backend): ``dense`` steps every
-        # cycle; ``skip`` charges idle routers zero Python work.  Both
-        # satisfy the same state-equivalence contract, so the choice
-        # never alters results — only wall-clock.
-        self.backend = make_backend(backend or backend_from_env(), self)
+        # Time-loop kernel (repro.noc.backend): ``skip`` leaps over
+        # quiescent spans; ``dense`` steps every cycle and is the
+        # reference for differential tests.  Both satisfy the same
+        # state-equivalence contract, so the choice never alters
+        # results — only wall-clock.
+        self.backend = make_backend(backend or DEFAULT_BACKEND, self)
         # Simulator self-profiling (repro.perf): attached FIRST so the
         # invariant checker and telemetry hub below wrap the phased
         # step — their instance shadows capture whatever ``step`` is

@@ -115,8 +115,9 @@ class Router:
         self._vc_rr = 0
         # Precomputed (in_port, in_bit, in_vc, channel) scan order for
         # the switch allocator; rotated by _rr each cycle for fairness.
-        # Built lazily on the first step: the skip backend never reads
-        # it, and 40 tuples per router add up at construction time.
+        # Built lazily on the first step: routers of a subnet that
+        # stays empty never step, and 40 tuples per router add up at
+        # construction time.
         self._scan: list[tuple] | None = None
         # Route table cached from the routing function (set by the
         # owning network) for flat lookups in _lookahead_route.

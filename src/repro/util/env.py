@@ -66,12 +66,6 @@ def _register(var: EnvVar) -> EnvVar:
     return var
 
 
-# -- simulation kernel -------------------------------------------------
-_register(EnvVar(
-    "REPRO_BACKEND", "text", "dense", "architecture.md",
-    "time-loop kernel for every fabric: dense (default) or skip",
-))
-
 # -- experiment pipeline -----------------------------------------------
 _register(EnvVar(
     "REPRO_SCALE", "float", "1.0", "experiments.md",

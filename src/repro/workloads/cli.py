@@ -8,15 +8,15 @@ Usage::
         --config small --cycles 500000 --packets 1000000 --out big.ctr
     python -m repro.workloads info big.ctr
     python -m repro.workloads replay big.ctr --config small \\
-        --backend skip --rss-limit-mb 200
+        --rss-limit-mb 200
 
 ``record`` simulates a fabric while streaming everything the workload
 offers to disk; ``gen`` synthesizes the same trace without simulating
 the network (fast enough for million-packet CI smokes); ``info``
 summarizes a file from its chunk headers alone; ``replay`` streams a
 trace through a fresh fabric and prints the canonical report digest —
-byte-identical across ``dense`` and ``skip`` backends — plus the peak
-RSS so bounded-memory replay is enforceable in CI.
+byte-identical between the default kernel and ``--backend dense`` —
+plus the peak RSS so bounded-memory replay is enforceable in CI.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def _cmd_replay(args) -> int:
     print(
         f"replayed {source.packets_generated} packets over "
         f"{report.cycles} cycles ({config.name}, backend "
-        f"{args.backend or 'env/default'}, drained={drained})"
+        f"{fabric.backend.name}, drained={drained})"
     )
     print(
         f"latency avg={report.avg_packet_latency:.2f} "
@@ -303,7 +303,8 @@ def main(argv: list[str] | None = None) -> int:
         "--backend",
         choices=backend_names(),
         default=None,
-        help="simulation kernel (default: REPRO_BACKEND or dense)",
+        help="simulation kernel: the default leaps over quiescent "
+        "spans; 'dense' steps every cycle and is the reference",
     )
     replay.add_argument(
         "--rss-limit-mb",
@@ -316,6 +317,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("record", "gen"):
         from repro.workloads.spec import parse_workload_spec
+
+        if args.cycles < 1:
+            parser.error("--cycles must be >= 1")
+        if args.chunk is not None and args.chunk < 1:
+            parser.error("--chunk must be >= 1")
 
         try:
             parse_workload_spec(args.workload)

@@ -1,11 +1,11 @@
-"""FabricBackend contract: registry, selection, and dense/skip equality.
+"""FabricBackend contract: registry and dense/skip equality.
 
 The skip kernel's contract is byte-identical *state*, not merely
 similar tables: after the same seeded workload, the fabric report, the
 fabric and source RNG positions, and the cycle counter must all match
 the dense reference exactly.  The skip-specific tests pin down the
-kernel's defining property — idle and gated routers cost no Python
-work (``Router.step`` is never invoked by the kernel).
+default kernel's defining property — idle and gated routers cost no
+Python work (``Router.step`` is never invoked).
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from tests.conftest import gated_config, small_config
 
 from repro.noc.backend import (
     DEFAULT_BACKEND,
-    DenseBackend,
     SkipBackend,
-    backend_from_env,
     backend_names,
     make_backend,
 )
@@ -31,40 +29,20 @@ from repro.traffic.patterns import make_pattern
 
 
 # ----------------------------------------------------------------------
-# Registry and selection
+# Registry
 # ----------------------------------------------------------------------
 
 
 class TestRegistry:
     def test_backend_names(self):
         assert backend_names() == ("dense", "skip")
-        assert DEFAULT_BACKEND == "dense"
+        assert DEFAULT_BACKEND == "skip"
 
     def test_make_backend_unknown_name(self, fabric):
         with pytest.raises(ValueError) as err:
             make_backend("bogus", fabric)
         assert "bogus" in str(err.value)
         assert "dense" in str(err.value) and "skip" in str(err.value)
-
-    def test_env_default_is_dense(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert backend_from_env() == "dense"
-
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "skip")
-        assert backend_from_env() == "skip"
-        fabric = MultiNocFabric(small_config(), seed=5)
-        assert isinstance(fabric.backend, SkipBackend)
-
-    def test_constructor_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "skip")
-        fabric = MultiNocFabric(small_config(), seed=5, backend="dense")
-        assert isinstance(fabric.backend, DenseBackend)
-
-    def test_unknown_env_backend_fails_at_construction(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "bogus")
-        with pytest.raises(ValueError):
-            MultiNocFabric(small_config(), seed=5)
 
 
 # ----------------------------------------------------------------------
@@ -128,8 +106,9 @@ class TestEquivalence:
 class TestSkipKernel:
     def test_gated_subnet_advances_without_router_step(self, monkeypatch):
         """A fully gated subnet advances the clock at zero router cost:
-        the skip kernel never invokes ``Router.step`` at all."""
-        fabric = MultiNocFabric(gated_config(), seed=9, backend="skip")
+        the default kernel never invokes ``Router.step`` at all."""
+        fabric = MultiNocFabric(gated_config(), seed=9)
+        assert isinstance(fabric.backend, SkipBackend)
         fabric.run(600)  # idle warmup: higher-order routers gate off
         assert all(
             router.power_state == PowerState.SLEEP

@@ -313,15 +313,12 @@ class TestCli:
             line for line in captured.splitlines()
             if line.startswith("digest:")
         ]
-        assert main([
-            "replay", str(out), "--config", "small",
-            "--backend", "skip",
-        ]) == 0
-        skip = [
+        assert main(["replay", str(out), "--config", "small"]) == 0
+        default = [
             line for line in capsys.readouterr().out.splitlines()
             if line.startswith("digest:")
         ]
-        assert dense == skip
+        assert dense == default
 
     def test_record_writes_a_replayable_trace(self, tmp_path, capsys):
         from repro.workloads.cli import main
@@ -347,6 +344,35 @@ class TestCli:
                 "--cycles", "10", "--out", str(tmp_path / "x.ctr"),
             ])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, cycles, chunk",
+        [
+            ("record", "-5", None),
+            ("record", "0", None),
+            ("gen", "0", None),
+            ("gen", "10", "0"),
+            ("record", "10", "-1"),
+        ],
+    )
+    def test_bad_count_is_a_usage_error(
+        self, tmp_path, capsys, command, cycles, chunk
+    ):
+        from repro.workloads.cli import main
+
+        out = tmp_path / "x.ctr"
+        argv = [
+            command, "--workload", "llm:batch=2;seq=4",
+            "--config", "small", "--cycles", cycles, "--out", str(out),
+        ]
+        if chunk is not None:
+            argv += ["--chunk", chunk]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        flag = "--cycles" if chunk is None else "--chunk"
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestObsJoin:
