@@ -5,8 +5,8 @@ statistically:
 
 * every delivered packet's phase decomposition sums to
   ``received_cycle - created_cycle`` (and the hub's own
-  ``phase_mismatches`` counter stays zero), on the dense *and* the
-  skip backend;
+  ``phase_mismatches`` counter stays zero), on the default skip kernel
+  *and* the dense per-cycle reference;
 * ``compute_network_power`` over the hub's window-reconstructed
   ``FabricReport`` is bitwise identical to the same model over
   ``fabric.report()``, and the summed window deltas equal the totals
@@ -209,7 +209,8 @@ class TestZeroOverhead:
 
 
 class TestLatencyReconciliation:
-    @pytest.mark.parametrize("backend", [None, "skip"])
+    # None is a default-constructed fabric; dense is the per-cycle reference.
+    @pytest.mark.parametrize("backend", [None, "dense", "skip"])
     def test_phase_sums_equal_latency_for_every_packet(self, backend):
         fabric = attributed_run(backend=backend)
         hub = fabric.explain
@@ -254,7 +255,8 @@ class TestLatencyReconciliation:
 
 
 class TestEnergyReconciliation:
-    @pytest.mark.parametrize("backend", [None, "skip"])
+    # None is a default-constructed fabric; dense is the per-cycle reference.
+    @pytest.mark.parametrize("backend", [None, "dense", "skip"])
     def test_power_breakdown_bitwise_identical(self, backend):
         fabric = attributed_run(backend=backend)
         hub = fabric.explain
@@ -309,7 +311,7 @@ class TestEnergyReconciliation:
 
 class TestDigestDeterminism:
     def test_dense_vs_skip_byte_identical(self):
-        dense = attributed_run(backend=None).explain
+        dense = attributed_run(backend="dense").explain
         skip = attributed_run(backend="skip").explain
         assert dense.attribution_digest() == skip.attribution_digest()
         assert json.dumps(
