@@ -18,8 +18,8 @@ conservation laws the simulator's distributed state must obey:
     injection link.
 ``router-accounting``
     Router-internal counters (``buffered_flits``,
-    ``expected_arrivals``, credit bounds) match first-principles
-    recounts.
+    ``expected_arrivals``, the VC occupancy mask, credit bounds) match
+    first-principles recounts.
 ``gating-state``
     Sleep/wakeup bookkeeping in the gating controller is consistent
     with each router's power state: the per-subnet SLEEP and WAKEUP
@@ -439,6 +439,19 @@ class InvariantChecker:
                     f"buffered_flits = {router.buffered_flits} but "
                     f"ports hold {recount} flit(s)",
                 )
+            # The allocator visits only the VCs the occupancy mask names.
+            fifos = [vc.fifo for port in router.ports for vc in port.vcs]
+            for index, fifo in enumerate(fifos):
+                if bool(fifo) != bool(router._occupied >> index & 1):
+                    in_port, vc = divmod(index, router.vcs_per_port)
+                    raise InvariantViolation(
+                        "router-accounting",
+                        cycle,
+                        f"subnet {network.subnet} node {router.node} port "
+                        f"{Port.NAMES[in_port]} vc {vc}: occupancy-mask "
+                        f"bit is {'clear' if fifo else 'set'} but the VC "
+                        f"holds {len(fifo)} flit(s)",
+                    )
             inbound = census.per_router.get(id(router), 0)
             if inbound != router.expected_arrivals:
                 raise InvariantViolation(

@@ -111,7 +111,8 @@ class InjectionRateMetric(LocalCongestionMetric):
     def evaluate(
         self, cycle: int, router: "Router", ni: "NetworkInterface"
     ) -> bool:
-        return ni.subnet_injection_rate(router.subnet) >= self.threshold
+        rate = ni.subnet_injection_rate(router.subnet, cycle)
+        return rate >= self.threshold
 
 
 class InjectionQueueMetric(LocalCongestionMetric):

@@ -97,7 +97,7 @@ class NetworkInterface:
         self._stream_orders = _rr_orders(vcs)
         for subnet, network in enumerate(subnets):
             network.routers[node].credit_sinks[Port.LOCAL] = (
-                self._make_credit_sink(subnet)
+                self._credits[subnet]
             )
         self.policy: "SubnetSelectionPolicy | None" = None
         self.gating: "PowerGatingController | None" = None
@@ -107,18 +107,13 @@ class NetworkInterface:
         self._ir_alpha = 1.0 / config.congestion.injection_rate_window
         self._ir_rate = 0.0
         self._ir_rate_subnet = [0.0] * config.num_subnets
+        # The rate averages are decayed lazily: _ir_cycle is the first
+        # cycle whose update has not been applied yet (see _decay_to).
+        self._ir_cycle = 0
         self._assigned_this_cycle = 0
         self._assigned_subnet = -1
         #: Packets injected per subnet (Figure 12b utilization).
         self.injected_per_subnet = [0] * config.num_subnets
-
-    def _make_credit_sink(self, subnet: int) -> Callable[[int], None]:
-        credits = self._credits[subnet]
-
-        def sink(vc: int) -> None:
-            credits[vc] += 1
-
-        return sink
 
     # ------------------------------------------------------------------
     # Source side
@@ -148,34 +143,52 @@ class NetworkInterface:
         """Packets currently streaming flits on some (subnet, VC)."""
         return self._active_slots
 
-    def injection_rate(self) -> float:
-        """Windowed average injection rate in packets/cycle (IR metric)."""
+    def injection_rate(self, cycle: int) -> float:
+        """Windowed injection rate in packets/cycle at ``cycle``."""
+        self._decay_to(cycle)
         return self._ir_rate
 
-    def subnet_injection_rate(self, subnet: int) -> float:
-        """Windowed injection rate of this node into one subnet.
+    def subnet_injection_rate(self, subnet: int, cycle: int) -> float:
+        """Windowed injection rate into one subnet at ``cycle``.
 
         This is the signal the IR congestion metric thresholds: a
         subnet reads congested at this node once the node pushes more
         than the threshold rate into it.
         """
+        self._decay_to(cycle)
         return self._ir_rate_subnet[subnet]
+
+    def _decay_to(self, cycle: int) -> None:
+        """Replay the idle cycles ``[_ir_cycle, cycle)``: each decays
+        every average by ``alpha`` until the aggregate rate is at most
+        1e-9, exactly as if the NI had been stepped on each of them."""
+        start = self._ir_cycle
+        if start >= cycle:
+            return
+        self._ir_cycle = cycle
+        rate = self._ir_rate
+        if rate <= 1e-9:
+            return
+        alpha = self._ir_alpha
+        rates = self._ir_rate_subnet
+        for _ in range(cycle - start):
+            rate -= alpha * rate
+            for subnet in range(len(rates)):
+                rates[subnet] -= alpha * rates[subnet]
+            if rate <= 1e-9:
+                break
+        self._ir_rate = rate
 
     # ------------------------------------------------------------------
     # Per-cycle evaluation
     # ------------------------------------------------------------------
     def step(self, cycle: int) -> None:
-        """Assign the head packet to a subnet and stream all subnets."""
-        if not self.queue and not self._active_slots:
-            # Fast path for idle NIs: only the injection-rate averages
-            # need decaying, and only while they are still meaningful.
-            if self._ir_rate > 1e-9:
-                alpha = self._ir_alpha
-                self._ir_rate -= alpha * self._ir_rate
-                rates = self._ir_rate_subnet
-                for subnet in range(len(rates)):
-                    rates[subnet] -= alpha * rates[subnet]
-            return
+        """Assign the head packet to a subnet and stream all subnets.
+
+        Only called for an NI with a queued packet or a streaming slot;
+        the idle cycles in between are applied by :meth:`_decay_to`.
+        """
+        self._decay_to(cycle)
         sent = 0
         if self._active_slots:
             active = self._subnet_active
@@ -199,6 +212,7 @@ class NetworkInterface:
             rates[subnet] += alpha * (hit - rates[subnet])
         self._assigned_this_cycle = 0
         self._assigned_subnet = -1
+        self._ir_cycle = cycle + 1
 
     def _assign_head(self, cycle: int) -> int:
         """Assign the head packet to a subnet; return it (or -1)."""

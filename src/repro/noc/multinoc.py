@@ -227,16 +227,10 @@ class MultiNocFabric:
             network.deliver_arrivals(cycle)
         self.monitor.update(cycle, subnets, self.nis)
         for ni in self.nis:
+            # An idle NI's only per-cycle work, decaying its rate
+            # averages, is applied lazily (NetworkInterface._decay_to).
             if ni.queue or ni._active_slots:
                 ni.step(cycle)
-            elif ni._ir_rate > 1e-9:
-                # NetworkInterface.step's idle branch, inlined: an NI
-                # with nothing to send only decays its rate averages.
-                alpha = ni._ir_alpha
-                ni._ir_rate -= alpha * ni._ir_rate
-                rates = ni._ir_rate_subnet
-                for subnet in range(len(rates)):
-                    rates[subnet] -= alpha * rates[subnet]
         for network in subnets:
             network.step_routers(cycle)
         self.gating.step(cycle)

@@ -14,7 +14,7 @@ requests when a head flit targets a sleeping next hop.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.noc.buffers import InputPort, vc_candidates
 from repro.noc.flit import Flit
@@ -34,6 +34,24 @@ class PowerState:
     WAKEUP = 2
 
     NAMES = ("active", "sleep", "wakeup")
+
+
+#: _channel_table(v)[i] == (in_port, 1 << in_port, in_vc) of occupancy
+#: bit i mod (Port.COUNT * v), repeated once so that a rotated bit
+#: position plus the rotation indexes it without a modulo.
+_CHANNEL_TABLES: dict[int, tuple[tuple[int, int, int], ...]] = {}
+
+
+def _channel_table(vcs: int) -> tuple[tuple[int, int, int], ...]:
+    table = _CHANNEL_TABLES.get(vcs)
+    if table is None:
+        table = _CHANNEL_TABLES[vcs] = tuple(
+            (port, 1 << port, vc)
+            for _ in range(2)
+            for port in range(Port.COUNT)
+            for vc in range(vcs)
+        )
+    return table
 
 
 class Router:
@@ -63,9 +81,10 @@ class Router:
         "track_blocking",
         "blocked_accum",
         "moved_accum",
+        "_occupied",
+        "_channel_of",
         "_rr",
         "_vc_rr",
-        "_scan",
         "_route_table",
         "_route_nodes",
     )
@@ -97,11 +116,11 @@ class Router:
         # and for LOCAL, which ejects to the NI).
         self.neighbor_router: list[Router | None] = [None] * Port.COUNT
         self.neighbor_node: list[int] = [-1] * Port.COUNT
-        # credit_sinks[in_port]: callable(vc) crediting the sender that
-        # feeds this input port (upstream router or the local NI).
-        self.credit_sinks: list[Callable[[int], None] | None] = (
-            [None] * Port.COUNT
-        )
+        # credit_sinks[in_port]: the per-VC credit counters of the
+        # sender that feeds this input port (the upstream router's
+        # credits[out_port] or the local NI's credits for this subnet);
+        # a departure returns its credit with sink[vc] += 1.
+        self.credit_sinks: list[list[int] | None] = [None] * Port.COUNT
         self.buffered_flits = 0
         self.expected_arrivals = 0
         self.power_state = PowerState.ACTIVE
@@ -111,14 +130,14 @@ class Router:
         self.track_blocking = False
         self.blocked_accum = 0
         self.moved_accum = 0
+        # Occupancy mask: bit in_port * vcs_per_port + vc is set exactly
+        # when that VC's FIFO is non-empty.  The switch allocator walks
+        # only the set bits, starting at bit _rr (rotated each cycle for
+        # fairness).
+        self._occupied = 0
+        self._channel_of = _channel_table(vcs_per_port)
         self._rr = 0
         self._vc_rr = 0
-        # Precomputed (in_port, in_bit, in_vc, channel) scan order for
-        # the switch allocator; rotated by _rr each cycle for fairness.
-        # Built lazily on the first step: routers of a subnet that
-        # stays empty never step, and 40 tuples per router add up at
-        # construction time.
-        self._scan: list[tuple] | None = None
         # Route table cached from the routing function (set by the
         # owning network) for flat lookups in _lookahead_route.
         self._route_table: list[int] | None = None
@@ -133,23 +152,23 @@ class Router:
         """Attach ``downstream`` behind output ``out_port``."""
         self.neighbor_router[out_port] = downstream
         self.neighbor_node[out_port] = downstream_node
-        in_port = Port.OPPOSITE[out_port]
-        downstream.credit_sinks[in_port] = self._make_credit_sink(out_port)
-
-    def _make_credit_sink(self, out_port: int) -> Callable[[int], None]:
-        credits = self.credits[out_port]
-
-        def sink(vc: int) -> None:
-            credits[vc] += 1
-
-        return sink
+        downstream.credit_sinks[Port.OPPOSITE[out_port]] = (
+            self.credits[out_port]
+        )
 
     # ------------------------------------------------------------------
     # Flit arrival
     # ------------------------------------------------------------------
     def deliver(self, in_port: int, vc: int, flit: Flit) -> None:
         """Land an in-flight flit into input buffer ``(in_port, vc)``."""
-        self.ports[in_port].push(vc, flit)
+        port = self.ports[in_port]
+        channel = port.vcs[vc]
+        fifo = channel.fifo
+        if len(fifo) >= channel.depth:
+            raise OverflowError("flit arrived at a full VC (credit bug)")
+        fifo.append(flit)
+        port.occupancy += 1
+        self._occupied |= 1 << (in_port * self.vcs_per_port + vc)
         self.buffered_flits += 1
         self.expected_arrivals -= 1
         self.idle_cycles = 0
@@ -175,30 +194,10 @@ class Router:
         """BFA input: mean flit occupancy over all input ports."""
         return sum(p.occupancy for p in self.ports) / Port.COUNT
 
-    def occupancy_by_port(self) -> tuple[int, ...]:
-        """Flit occupancy of each input port, indexed by ``Port``.
-
-        Telemetry samplers poll this for the per-router occupancy
-        heatmap; it is a read-only snapshot with no hot-loop cost.
-        """
-        return tuple(p.occupancy for p in self.ports)
-
     @property
     def is_drained(self) -> bool:
         """No buffered flits and none in flight toward this router."""
         return self.buffered_flits == 0 and self.expected_arrivals == 0
-
-    def _scan_order(self) -> list[tuple]:
-        """The (in_port, in_bit, in_vc, channel) allocator scan order,
-        built on first use (also read by the perf router mirror)."""
-        scan = self._scan
-        if scan is None:
-            scan = self._scan = [
-                (p, 1 << p, v, self.ports[p].vcs[v])
-                for p in range(Port.COUNT)
-                for v in range(self.vcs_per_port)
-            ]
-        return scan
 
     # ------------------------------------------------------------------
     # Switch allocation + traversal (one cycle)
@@ -211,32 +210,35 @@ class Router:
         to the senders.  At most one flit leaves per input port and per
         output port per cycle (crossbar constraint).
         """
-        if self.buffered_flits == 0:
+        occupied = self._occupied
+        if not occupied:
             return
         network = self.network
         if network is None:
             raise RuntimeError("router not attached to a network")
-        scan = self._scan
-        if scan is None:
-            scan = self._scan_order()
-        total = len(scan)
+        channel_of = self._channel_of
+        total = len(channel_of) >> 1
         offset = self._rr
         self._rr = (offset + 1) % total
-        if offset:
-            scan = scan[offset:] + scan[:offset]
+        # Rotated right by the round-robin offset, bit b of ``pending``
+        # is channel b + offset (mod total): taking the lowest set bit
+        # first visits the busy channels in the rotated scan order.
+        pending = (
+            occupied >> offset | occupied << (total - offset)
+        ) & ((1 << total) - 1)
         used_in = 0
         used_out = 0
-        heads_waiting = 0
         moved = 0
+        ports = self.ports
         credits = self.credits
-        for in_port, in_bit, in_vc, channel in scan:
-            fifo = channel.fifo
-            if not fifo:
-                continue
-            heads_waiting += 1
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            in_port, in_bit, in_vc = channel_of[low.bit_length() - 1 + offset]
             if used_in & in_bit:
                 continue
-            flit = fifo[0]
+            channel = ports[in_port].vcs[in_vc]
+            flit = channel.fifo[0]
             out_port = flit.route
             out_bit = 1 << out_port
             if used_out & out_bit:
@@ -271,8 +273,10 @@ class Router:
             moved += 1
         if self.track_blocking:
             # Blocking proxy for the Delay metric: every head flit that
-            # stayed put this cycle accrued one blocked flit-cycle.
-            self.blocked_accum += heads_waiting - moved
+            # stayed put this cycle accrued one blocked flit-cycle.  A
+            # pop empties only the channel being visited, so the heads
+            # waiting are exactly the busy channels at entry.
+            self.blocked_accum += occupied.bit_count() - moved
             self.moved_accum += moved
 
     def _allocate_vc(self, channel, flit: Flit, out_port: int) -> bool:
@@ -337,17 +341,22 @@ class Router:
         next_route: int,
         cycle: int,
     ) -> None:
-        ports = self.ports
-        channel = ports[in_port].vcs[in_vc]
-        ports[in_port].pop(in_vc)
+        port = self.ports[in_port]
+        channel = port.vcs[in_vc]
+        fifo = channel.fifo
+        fifo.popleft()
+        if not fifo:
+            self._occupied &= ~(1 << (in_port * self.vcs_per_port + in_vc))
+        port.occupancy -= 1
         self.buffered_flits -= 1
+        sink = self.credit_sinks[in_port]
+        if sink is not None:
+            sink[in_vc] += 1
         self.credits[out_port][out_vc] -= 1
-        credit_sink = self.credit_sinks[in_port]
-        if credit_sink is not None:
-            credit_sink(in_vc)
         if flit.is_tail:
             self.out_owner[out_port][out_vc] = False
-            channel.release_allocation()
+            channel.out_port = -1
+            channel.out_vc = -1
         network = self.network
         if network is None:
             raise RuntimeError("router not attached to a network")
@@ -357,15 +366,20 @@ class Router:
         network.send(flit, downstream, Port.OPPOSITE[out_port], out_vc, cycle)
 
     def _eject(self, in_port: int, in_vc: int, flit: Flit, cycle: int) -> None:
-        ports = self.ports
-        channel = ports[in_port].vcs[in_vc]
-        ports[in_port].pop(in_vc)
+        port = self.ports[in_port]
+        channel = port.vcs[in_vc]
+        fifo = channel.fifo
+        fifo.popleft()
+        if not fifo:
+            self._occupied &= ~(1 << (in_port * self.vcs_per_port + in_vc))
+        port.occupancy -= 1
         self.buffered_flits -= 1
-        credit_sink = self.credit_sinks[in_port]
-        if credit_sink is not None:
-            credit_sink(in_vc)
-        if flit.is_tail and channel.has_allocation:
-            channel.release_allocation()
+        sink = self.credit_sinks[in_port]
+        if sink is not None:
+            sink[in_vc] += 1
+        if flit.is_tail:
+            channel.out_port = -1
+            channel.out_vc = -1
         network = self.network
         if network is None:
             raise RuntimeError("router not attached to a network")

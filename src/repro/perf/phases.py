@@ -1,4 +1,4 @@
-"""Phase names and the stage-timed router pipeline used when profiling.
+"""Phase names and the stage-timed router class used when profiling.
 
 The phase profiler (:class:`repro.perf.profiler.PhaseProfiler`) splits
 one fabric clock step into the named phases below.  The first six
@@ -7,34 +7,26 @@ partition the ``router_pipeline`` slice of it, mirroring the paper's
 router microarchitecture (route compute / VC allocation / switch
 allocation / switch traversal).
 
-:class:`Router` declares ``__slots__``, so the per-instance method
-shadowing the telemetry and invariant subsystems use cannot hook it.
-Instead :func:`profiled_router_step` is a line-for-line mirror of
-:meth:`Router.step` that brackets each stage with
-``time.perf_counter_ns`` and delegates all state mutation to the
-router's own ``_allocate_vc`` / ``_lookahead_route`` / ``_forward`` /
-``_eject`` methods, so the two code paths cannot drift in behaviour —
-only in timing overhead.  ``tests/test_perf_profiler.py`` asserts that
-a profiled run and a plain run of the same seed produce identical
-fabric reports, which is the guard that keeps this mirror honest.
+:class:`Router` declares ``__slots__`` and cannot be shadowed per
+instance, so the profiler retypes each router to the stateless
+subclass :func:`stage_timed_router` builds, which times the stage
+helpers :meth:`Router.step` calls; the step itself runs unchanged.
 """
 
 from __future__ import annotations
 
 from time import perf_counter_ns
-from typing import TYPE_CHECKING
+from typing import Any
 
-from repro.noc.topology import Port
-
-if TYPE_CHECKING:
-    from repro.noc.router import Router
+from repro.noc.flit import Flit
+from repro.noc.router import Router
 
 __all__ = [
     "STEP_PHASES",
     "ROUTER_STAGES",
     "ALL_PHASES",
     "StageClock",
-    "profiled_router_step",
+    "stage_timed_router",
 ]
 
 #: Top-level slices of one ``MultiNocFabric.step`` call, in execution
@@ -66,9 +58,9 @@ ALL_PHASES = STEP_PHASES + ROUTER_STAGES
 class StageClock:
     """Nanosecond accumulators for the three bracketed router stages.
 
-    One instance lives per profiler; :func:`profiled_router_step` adds
-    into it for every router it steps, and the profiler diffs the
-    totals around each fabric step to fill the per-step histograms.
+    One instance lives per profiler; the routers of its
+    :func:`stage_timed_router` class add into it, and the profiler
+    reads the totals to split the router pipeline into stages.
     """
 
     __slots__ = ("vc_alloc", "route_compute", "switch_traversal")
@@ -83,77 +75,40 @@ class StageClock:
         return self.vc_alloc + self.route_compute + self.switch_traversal
 
 
-def profiled_router_step(
-    router: "Router", cycle: int, clock: StageClock
-) -> None:
-    """Mirror of :meth:`Router.step` with per-stage timing.
+def stage_timed_router(clock: StageClock) -> type[Router]:
+    """A :class:`Router` subclass whose stage helpers add their wall
+    time into ``clock``.
 
-    Behaviourally identical to the plain step (same scan order, same
-    round-robin rotation, same winner rules); every mutation happens in
-    the router's own helper methods.  Callers must only invoke it for
-    routers with buffered flits, exactly like ``step_routers`` does.
+    Switch traversal is ``_forward`` and ``_eject``; whatever the
+    pipeline spends outside the three bracketed stages is the switch
+    allocation residual.
     """
-    network = router.network
-    if network is None:
-        raise RuntimeError("router not attached to a network")
-    scan = router._scan_order()
-    total = len(scan)
-    offset = router._rr
-    router._rr = (offset + 1) % total
-    if offset:
-        scan = scan[offset:] + scan[:offset]
-    used_in = 0
-    used_out = 0
-    heads_waiting = 0
-    moved = 0
-    credits = router.credits
-    for in_port, in_bit, in_vc, channel in scan:
-        fifo = channel.fifo
-        if not fifo:
-            continue
-        heads_waiting += 1
-        if used_in & in_bit:
-            continue
-        flit = fifo[0]
-        out_port = flit.route
-        out_bit = 1 << out_port
-        if used_out & out_bit:
-            continue
-        if out_port == Port.LOCAL:
+
+    class StageTimedRouter(Router):
+        __slots__ = ()
+
+        def _allocate_vc(
+            self, channel: Any, flit: Flit, out_port: int
+        ) -> bool:
             t0 = perf_counter_ns()
-            router._eject(in_port, in_vc, flit, cycle)
-            clock.switch_traversal += perf_counter_ns() - t0
-            used_in |= in_bit
-            used_out |= out_bit
-            moved += 1
-            continue
-        if channel.out_port < 0:
-            t0 = perf_counter_ns()
-            granted = router._allocate_vc(channel, flit, out_port)
+            granted = Router._allocate_vc(self, channel, flit, out_port)
             clock.vc_alloc += perf_counter_ns() - t0
-            if not granted:
-                continue
-        out_vc = channel.out_vc
-        if credits[out_port][out_vc] <= 0:
-            continue
-        downstream = router.neighbor_router[out_port]
-        if downstream is None or downstream.power_state:
-            if downstream is not None:
-                network.request_wakeup(downstream, router.node)
-            continue
-        t0 = perf_counter_ns()
-        next_route = router._lookahead_route(out_port, flit.packet.dst)
-        t1 = perf_counter_ns()
-        router._forward(
-            in_port, in_vc, flit, out_port, out_vc, downstream,
-            next_route, cycle,
-        )
-        t2 = perf_counter_ns()
-        clock.route_compute += t1 - t0
-        clock.switch_traversal += t2 - t1
-        used_in |= in_bit
-        used_out |= out_bit
-        moved += 1
-    if router.track_blocking:
-        router.blocked_accum += heads_waiting - moved
-        router.moved_accum += moved
+            return granted
+
+        def _lookahead_route(self, out_port: int, dst: int) -> int:
+            t0 = perf_counter_ns()
+            route = Router._lookahead_route(self, out_port, dst)
+            clock.route_compute += perf_counter_ns() - t0
+            return route
+
+        def _forward(self, *args: Any, **kwargs: Any) -> None:
+            t0 = perf_counter_ns()
+            Router._forward(self, *args, **kwargs)
+            clock.switch_traversal += perf_counter_ns() - t0
+
+        def _eject(self, *args: Any, **kwargs: Any) -> None:
+            t0 = perf_counter_ns()
+            Router._eject(self, *args, **kwargs)
+            clock.switch_traversal += perf_counter_ns() - t0
+
+    return StageTimedRouter

@@ -16,10 +16,11 @@ by *shadowing* instance methods, the exact contract of
   cost is split out of the monitor phase.
 
 The router pipeline slice is further split into the paper's four
-stages (route compute, VC alloc, switch alloc, switch traversal) by
-:func:`repro.perf.phases.profiled_router_step`; ``Router`` declares
-``__slots__`` so it cannot be shadowed per instance, and the profiler
-therefore drives that stage-timed mirror from its own step loop.
+stages (route compute, VC alloc, switch alloc, switch traversal).
+``Router`` declares ``__slots__`` so it cannot be shadowed per
+instance; instead attach swaps every router's ``__class__`` to the
+stage-timed subclass :func:`repro.perf.phases.stage_timed_router`
+builds for this profiler, and detach swaps it back.
 
 Because shadowing only touches *instances*, a fabric without a
 profiler executes the original unhooked class methods: profiling-off
@@ -44,11 +45,12 @@ import os
 from time import perf_counter_ns
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.noc.router import Router
 from repro.perf.phases import (
     ROUTER_STAGES,
     STEP_PHASES,
     StageClock,
-    profiled_router_step,
+    stage_timed_router,
 )
 from repro.util import env
 from repro.util.ascii_plot import bar_chart
@@ -168,6 +170,10 @@ class PhaseProfiler:
         self._shadow(fabric, "step", self._profiled_step)
         self._shadow(fabric, "report", self._profiled_report)
         self._shadow(regional, "update", self._timed_regional_update)
+        timed = stage_timed_router(self._clock)
+        for network in fabric.subnets:
+            for router in network.routers:
+                router.__class__ = timed
         self.attached = True
         return self
 
@@ -181,6 +187,9 @@ class PhaseProfiler:
             else:
                 delattr(obj, name)
         self._saved.clear()
+        for network in self.fabric.subnets:
+            for router in network.routers:
+                router.__class__ = Router
         self.attached = False
 
     # ------------------------------------------------------------------
@@ -195,7 +204,6 @@ class PhaseProfiler:
         reads at the phase boundaries.
         """
         fabric = self.fabric
-        clock = self._clock
         prof = self._cprofile
         if prof is not None:
             prof.enable()
@@ -208,13 +216,11 @@ class PhaseProfiler:
         fabric.monitor.update(cycle, subnets, fabric.nis)
         t2 = perf_counter_ns()
         for ni in fabric.nis:
-            ni.step(cycle)
+            if ni.queue or ni._active_slots:
+                ni.step(cycle)
         t3 = perf_counter_ns()
         for network in subnets:
-            for router in network.routers:
-                if router.buffered_flits:
-                    profiled_router_step(router, cycle, clock)
-            network.counters.flit_cycles += network.flits_in_network
+            network.step_routers(cycle)
         t4 = perf_counter_ns()
         fabric.gating.step(cycle)
         t5 = perf_counter_ns()

@@ -584,6 +584,13 @@ def test_sim105_allows_declared_slot_writes(tmp_path):
     ) == []
 
 
+def test_sim105_allows_class_swap(tmp_path):
+    # Retyping to a layout-compatible subclass adds no attribute.
+    assert rules_of(
+        tmp_path, {"repro/perf/poke.py": _POKE % "__class__"}
+    ) == []
+
+
 def test_sim105_allows_evolution_in_the_defining_module(tmp_path):
     planted = src("repro/noc/router.py") + textwrap.dedent(
         """

@@ -3,15 +3,17 @@
 A default-constructed fabric steps its busy cycles through
 ``MultiNocFabric.step`` and leaps over quiescent spans;
 ``backend="dense"`` steps every cycle.  For drawn configurations,
-traffic, span splits and checker attachment, both must end in the same
-state: the same report digest, clock, fabric and source RNG positions,
-and NI injection-rate averages.
+traffic, congestion metrics, span splits and checker attachment, both
+must end in the same state: the same report digest, clock, fabric and
+source RNG positions, and NI injection-rate averages.
 
-The leap needs every NI's injection-rate average decayed below 1e-9,
-which takes over a thousand idle cycles after the last packet.  Bursty
-and diurnal sources are drawn with gaps that long, so the leap also
-fires in the middle of runs and not only on fabrics that never saw
-traffic.
+The metric is drawn from ``bfm``, ``delay`` and ``ir``: ``delay`` reads
+the blocking counters the masked router scan maintains, and ``ir``
+reads the lazily decayed NI injection rates every cycle.  NIs decay
+their rate averages lazily, so the leap needs no idle NI work and fires
+as soon as the fabric drains.  Bursty and diurnal sources are drawn
+with idle gaps, so the leap also fires in the middle of runs and not
+only on fabrics that never saw traffic.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 from tests.conftest import gated_config, small_config
 
 from repro.analysis.invariants import InvariantChecker
+from repro.noc.config import CongestionConfig
 from repro.noc.multinoc import MultiNocFabric
 from repro.traffic.generators import (
     BurstyTrafficSource,
@@ -36,11 +39,14 @@ from repro.workloads.sources import DiurnalSource
 LOADS = (0.0, 0.005, 0.02, 0.1)
 
 
-def make_config(gating: str, subnets: int):
+def make_config(gating: str, subnets: int, metric: str = "bfm"):
+    congestion = CongestionConfig(metric=metric)
     if gating == "none":
-        return small_config(num_subnets=subnets)
+        return small_config(num_subnets=subnets, congestion=congestion)
     policy = "catnap" if gating == "rcs" else "round_robin"
-    return gated_config(num_subnets=subnets, selection_policy=policy)
+    return gated_config(
+        num_subnets=subnets, selection_policy=policy, congestion=congestion
+    )
 
 
 def make_source(fabric, traffic, seed):
@@ -97,8 +103,17 @@ def run(config, traffic, spans, seed, backend=None, check=False):
         drained,
         fabric.rng.getstate(),
         source.rng.getstate(),
-        # Not in the report, but read by the ``ir`` selection policy.
-        [(ni._ir_rate, list(ni._ir_rate_subnet)) for ni in fabric.nis],
+        # Not in the report, but read by the ``ir`` congestion metric.
+        [
+            (
+                ni.injection_rate(fabric.cycle),
+                [
+                    ni.subnet_injection_rate(subnet, fabric.cycle)
+                    for subnet in range(config.num_subnets)
+                ],
+            )
+            for ni in fabric.nis
+        ],
     )
     return state, fabric
 
@@ -128,26 +143,28 @@ span_splits = st.tuples(
 
 @settings(max_examples=40, deadline=None)
 @example(
-    subnets=4, gating="rcs", traffic=("uniform", 0.0), spans=[300, 0, 200],
-    check=True, seed=1,
+    subnets=4, gating="rcs", metric="bfm", traffic=("uniform", 0.0),
+    spans=[300, 0, 200], check=True, seed=1,
 )
 @given(
     subnets=st.integers(1, 4),
     gating=st.sampled_from(["none", "baseline", "rcs"]),
+    metric=st.sampled_from(["bfm", "delay", "ir"]),
     traffic=traffic_cases,
     spans=span_splits,
     check=st.booleans(),
     seed=st.integers(0, 2**16),
 )
 def test_default_kernel_matches_dense(
-    subnets, gating, traffic, spans, check, seed
+    subnets, gating, metric, traffic, spans, check, seed
 ):
-    config = make_config(gating, subnets)
+    config = make_config(gating, subnets, metric)
     with counted_steps() as counts:
         leaped, fabric = run(config, traffic, spans, seed, check=check)
     dense, _ = run(config, traffic, spans, seed, backend="dense")
     assert leaped == dense
-    if traffic == ("uniform", 0.0):
+    if traffic == ("uniform", 0.0) and metric == "bfm":
+        # ``delay`` and ``ir`` are not idle-skippable: they never leap.
         assert counts.get(id(fabric), 0) < fabric.cycle
 
 
@@ -159,4 +176,16 @@ def test_leap_fires_between_bursts():
     dense, _ = run(config, traffic, [1000, 1000], seed=3, backend="dense")
     assert leaped == dense
     # The leap lands on cycle 1600, well inside the second span.
+    assert counts[id(fabric)] < fabric.cycle - 100
+
+
+def test_leap_fires_in_a_short_idle_gap():
+    """A 300-cycle gap leaps although the NI rate averages are still
+    far above 1e-9 (they take about 1,000 idle cycles to get there)."""
+    config = make_config("rcs", 4)
+    traffic = ("bursty", [(0, 0.1), (100, 0.0), (400, 0.05), (500, 0.0)])
+    with counted_steps() as counts:
+        leaped, fabric = run(config, traffic, [300, 300], seed=3)
+    dense, _ = run(config, traffic, [300, 300], seed=3, backend="dense")
+    assert leaped == dense
     assert counts[id(fabric)] < fabric.cycle - 100

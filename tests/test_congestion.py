@@ -41,10 +41,10 @@ class FakeNi:
         self._queue = queue_flits
         self._subnet_rates = subnet_rates or {}
 
-    def injection_rate(self):
+    def injection_rate(self, cycle):
         return self._rate
 
-    def subnet_injection_rate(self, subnet):
+    def subnet_injection_rate(self, subnet, cycle):
         return self._subnet_rates.get(subnet, 0.0)
 
     def queue_occupancy_flits(self):

@@ -3,7 +3,7 @@
 The mutation tests are the contract of ``repro.analysis.invariants``:
 each deliberately corrupts one piece of distributed simulator state (a
 dropped credit, a duplicated flit, a skipped wakeup, a skipped priority
-subnet) and asserts the checker reports the precise invariant with a
+subnet, a flipped occupancy-mask bit) and asserts the checker reports the precise invariant with a
 diagnostic naming the location.
 """
 
@@ -313,6 +313,18 @@ class TestMutations:
         assert err.value.invariant == "priority-selection"
         assert "subnet 1" in err.value.details
         assert "[0]" in err.value.details  # names the skipped subnet
+
+    def test_occupancy_mask_bit_flip_is_caught(self, backend):
+        fabric, _checker = checked_fabric(backend=backend)
+        router = fabric.subnets[0].routers[5]
+        vcs = fabric.config.vcs_per_port
+        # Claim a flit in the empty east-port VC 2.
+        router._occupied ^= 1 << (Port.EAST * vcs + 2)
+        with pytest.raises(InvariantViolation) as err:
+            fabric.run(1)
+        assert err.value.invariant == "router-accounting"
+        assert "node 5 port east vc 2" in err.value.details
+        assert "occupancy-mask bit is set" in err.value.details
 
     def test_lost_flit_accounting_is_caught(self, backend):
         fabric, _checker = checked_fabric(backend=backend)
