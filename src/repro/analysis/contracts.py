@@ -11,9 +11,11 @@ that no single-file pass can see —
     direct ``obj.name = wrapper``) must ship a paired ``detach`` that
     restores every shadowed name — ``_shadow``-based classes by
     unwinding ``reversed(self._saved)``, direct assigns by deleting or
-    re-assigning the name.  Attach *order* is also checked: within one
-    function, observers must attach in the documented order
-    perf → faults → checker → telemetry → explain.
+    re-assigning the name.  ``_shadow`` and ``detach`` resolve through
+    the class's bases, and a ``detach`` override reaches its base's
+    unwind only by calling ``super().detach()``.  Attach *order* is
+    also checked: within one function, observers must attach in the
+    order of :data:`repro.noc.observers.OBSERVERS`.
 ``SIM102``
     Backend conformance.  Every :class:`~repro.noc.backend.
     FabricBackend` subclass must override ``run`` and declare a
@@ -66,6 +68,7 @@ from repro.analysis.symbols import (
     ModuleInfo,
     Program,
 )
+from repro.noc.observers import OBSERVERS
 
 __all__ = [
     "CONTRACT_RULES",
@@ -84,8 +87,8 @@ CONTRACT_RULES: dict[str, Rule] = {
             "error",
             "give the observer a detach() that restores every shadowed "
             "name (unwind reversed(self._saved) for _shadow-based "
-            "classes), and attach observers in the documented order "
-            "perf -> faults -> checker -> telemetry -> explain",
+            "classes, or call super().detach()), and attach observers "
+            "in OBSERVERS order",
         ),
         Rule(
             "SIM102",
@@ -129,8 +132,9 @@ LINT_RULES.update(CONTRACT_RULES)
 SEAM_BEGIN = "<!-- backend-seams:begin -->"
 SEAM_END = "<!-- backend-seams:end -->"
 
-#: The documented observer attach order (SIM101), by subpackage.
-ATTACH_ORDER = ("perf", "faults", "analysis", "telemetry", "explain")
+#: The observer attach order (SIM101), by subpackage, from OBSERVERS.
+ATTACH_ORDER = tuple(row.cls.split(".")[1] for row in OBSERVERS)
+_ORDER_TEXT = " -> ".join(row.flag for row in OBSERVERS)
 
 _ENV_TOKEN = re.compile(r"REPRO_[A-Z0-9_]+")
 #: A seam table row: the backticked name in the row's first column.
@@ -261,7 +265,7 @@ def check_shadowing(program: Program) -> list[Violation]:
     violations: list[Violation] = []
     for mod in program.modules.values():
         for cls in mod.classes.values():
-            violations += _check_class_shadowing(mod, cls)
+            violations += _check_class_shadowing(program, mod, cls)
         for fn in _all_functions(mod):
             violations += _check_attach_order(program, mod, fn)
     return violations
@@ -289,7 +293,7 @@ def _saved_list_name(shadow_fn: FunctionInfo) -> str | None:
 
 
 def _check_class_shadowing(
-    mod: ModuleInfo, cls: ClassInfo
+    program: Program, mod: ModuleInfo, cls: ClassInfo
 ) -> list[Violation]:
     attach = cls.methods.get("attach")
     if attach is None:
@@ -318,9 +322,10 @@ def _check_class_shadowing(
         return []
 
     violations: list[Violation] = []
-    detach = cls.methods.get("detach")
+    mro = list(program.iter_mro(cls.qualname))
+    detaches = _detach_chain(mro)
     scope = f"{cls.name}.attach"
-    if detach is None:
+    if not detaches:
         violations.append(
             _violation(
                 "SIM101",
@@ -334,23 +339,32 @@ def _check_class_shadowing(
         return violations
 
     if uses_shadow_helper:
-        shadow_fn = cls.methods.get("_shadow")
+        shadow_fn = next(
+            (c.methods["_shadow"] for c in mro if "_shadow" in c.methods),
+            None,
+        )
         saved = (
             _saved_list_name(shadow_fn) if shadow_fn is not None else None
         )
-        if saved is None or not _detach_unwinds(detach, saved):
+        if saved is None or not any(
+            _detach_unwinds(detach, saved) for _, detach in detaches
+        ):
+            owner, detach = detaches[0]
             violations.append(
                 _violation(
                     "SIM101",
-                    mod,
+                    program.modules[owner.module],
                     detach.node,
                     f"{cls.name}.detach does not unwind "
-                    f"reversed(self.{saved or '_saved'}), so shadowed "
-                    "names are not restored in reverse attach order",
-                    f"{cls.name}.detach",
+                    f"reversed(self.{saved or '_saved'}) nor reach it "
+                    "through super().detach(), so shadowed names are "
+                    "not restored in reverse attach order",
+                    f"{owner.name}.detach",
                 )
             )
-    restored = _restored_names(detach)
+    restored: set[str] = set()
+    for _, detach in detaches:
+        restored |= _restored_names(detach)
     for name, node in direct_names:
         if name not in restored:
             violations.append(
@@ -365,6 +379,21 @@ def _check_class_shadowing(
                 )
             )
     return violations
+
+
+def _detach_chain(
+    mro: list[ClassInfo],
+) -> list[tuple[ClassInfo, FunctionInfo]]:
+    """The ``detach`` methods one call runs: the nearest definition,
+    then each base's while the previous calls ``super().detach()``."""
+    chain: list[tuple[ClassInfo, FunctionInfo]] = []
+    for info in mro:
+        detach = info.methods.get("detach")
+        if detach is not None:
+            chain.append((info, detach))
+            if "super().detach()" not in ast.unparse(detach.node):
+                break
+    return chain
 
 
 def _method_self_name(fn: FunctionInfo) -> str | None:
@@ -444,8 +473,7 @@ def _check_attach_order(
                     cur[3],
                     f"{cur[2]} ({ATTACH_ORDER[cur[1]]}) attaches after "
                     f"{prev[2]} ({ATTACH_ORDER[prev[1]]}), violating "
-                    "the documented order perf -> faults -> checker "
-                    "-> telemetry -> explain",
+                    f"the OBSERVERS order {_ORDER_TEXT}",
                     _scope_of(fn),
                 )
             )

@@ -62,6 +62,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.noc.buffers import vc_candidates
+from repro.noc.observers import ShadowingObserver
 from repro.noc.router import PowerState, Router
 from repro.noc.topology import Port
 from repro.util import env
@@ -74,8 +75,6 @@ if TYPE_CHECKING:
 __all__ = [
     "InvariantChecker",
     "InvariantViolation",
-    "checking_enabled",
-    "maybe_attach",
 ]
 
 #: A channel is identified as (subnet, node, in_port, vc).
@@ -100,18 +99,6 @@ class InvariantViolation(RuntimeError):
         self.invariant = invariant
         self.cycle = cycle
         self.details = details
-
-
-def checking_enabled() -> bool:
-    """True when ``REPRO_CHECK`` asks for runtime invariant checking."""
-    return env.flag("REPRO_CHECK")
-
-
-def maybe_attach(fabric: "MultiNocFabric") -> "InvariantChecker | None":
-    """Attach a checker to ``fabric`` when ``REPRO_CHECK`` is set."""
-    if not checking_enabled():
-        return None
-    return InvariantChecker(fabric).attach()
 
 
 class _CheckedPolicy:
@@ -155,7 +142,7 @@ class _CheckedPolicy:
         return getattr(self._inner, name)
 
 
-class InvariantChecker:
+class InvariantChecker(ShadowingObserver):
     """Re-derives fabric conservation laws every checked cycle."""
 
     def __init__(
@@ -164,7 +151,7 @@ class InvariantChecker:
         interval: int | None = None,
         stall_cycles: int | None = None,
     ) -> None:
-        self.fabric = fabric
+        super().__init__(fabric)
         if interval is None:
             interval = env.integer("REPRO_CHECK_INTERVAL", 1)
         if stall_cycles is None:
@@ -216,26 +203,24 @@ class InvariantChecker:
     def attach(self) -> "InvariantChecker":
         """Hook the fabric's step loop and its selection policies."""
         fabric = self.fabric
-        if self._orig_step is not None:
+        if self.attached:
             raise RuntimeError("invariant checker is already attached")
         self._orig_step = fabric.step
         # Instance attribute shadows the class method: zero overhead
         # for unchecked fabrics, full interception for this one.
-        fabric.step = self._checked_step  # type: ignore[method-assign]
+        self._shadow(fabric, "step", self._checked_step)
         for ni in fabric.nis:
             policy = ni.policy
             if policy is not None and getattr(
                 policy, "strict_priority", False
             ):
                 ni.policy = _CheckedPolicy(policy, self)
+        self.attached = True
         return self
 
     def detach(self) -> None:
         """Remove all hooks, restoring the unchecked fast path."""
-        if self._orig_step is None:
-            return
-        del self.fabric.step  # uncover the class method
-        self._orig_step = None
+        super().detach()
         for ni in self.fabric.nis:
             if isinstance(ni.policy, _CheckedPolicy):
                 ni.policy = ni.policy._inner

@@ -54,6 +54,8 @@ from repro.experiments.fig12_bursty import run_fig12
 from repro.experiments.fig13_ir_thresholds import run_fig13
 from repro.experiments.fig14_64core import run_fig14
 from repro.experiments.table02_voltage import run_table02
+from repro.noc.observers import OBSERVERS
+from repro.obs.artifacts import SUFFIXES, ArtifactObserver
 
 __all__ = [
     "EXPERIMENTS",
@@ -340,6 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--trace-out",
+        dest="telemetry_out",
         type=Path,
         default=None,
         metavar="DIR",
@@ -420,36 +423,12 @@ def main(argv: list[str] | None = None) -> int:
         os.environ["REPRO_NO_CACHE"] = "1"
     if args.cache_dir is not None:
         os.environ["REPRO_CACHE_DIR"] = str(args.cache_dir)
-    if args.check:
-        # Environment (not a parameter) so forked sweep workers attach
-        # the checker to every fabric they construct.  Checked results
-        # must not poison the shared cache of unchecked runs — a run
-        # that only *reads* would also hide a violation inside a
-        # cached point — so caching is disabled wholesale.
-        os.environ["REPRO_CHECK"] = "1"
-        os.environ["REPRO_NO_CACHE"] = "1"
-    if args.faults is not None:
-        # Validate here so a typo fails fast with a usage error rather
-        # than as one captured failure per sweep point.
-        from repro.faults.spec import parse_fault_spec
-
-        try:
-            parse_fault_spec(args.faults)
-        except ValueError as exc:
-            parser.error(f"--faults: {exc}")
-        # Environment (not a parameter) so forked sweep workers attach
-        # a fault engine to every fabric they construct.  Faulted
-        # results must never poison the cache of healthy runs, and a
-        # cache hit would silently skip injection — caching is
-        # disabled wholesale (mirrors --check).
-        os.environ["REPRO_FAULTS"] = args.faults
-        os.environ["REPRO_NO_CACHE"] = "1"
     if args.workload is not None:
         # Validate here so a typo fails fast with a usage error rather
-        # than as one captured failure per sweep point (mirrors
-        # --faults).  Unlike observer flags this does NOT disable the
-        # cache: the canonical spec text lands in PointSpec.workload
-        # and is therefore already part of every cache key.
+        # than as one captured failure per sweep point.  Unlike observer
+        # flags this does NOT disable the cache: the canonical spec
+        # text lands in PointSpec.workload and is therefore already
+        # part of every cache key.
         from repro.workloads.spec import parse_workload_spec
 
         try:
@@ -457,67 +436,42 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             parser.error(f"--workload: {exc}")
         os.environ["REPRO_WORKLOADS"] = args.workload
-    if args.trace_out is not None:
-        os.environ["REPRO_TELEMETRY_DIR"] = str(args.trace_out)
-        args.telemetry = True
-    if args.telemetry:
+    enabled = []
+    for row in OBSERVERS:
+        value = getattr(args, row.flag)
+        out = getattr(args, f"{row.flag}_out", None)
+        if out is not None:
+            # A given artifact directory turns its observer on.
+            os.environ[row.dir_env] = str(out)
+            if value in (None, False):
+                value = True
+        if value in (None, False):
+            continue
+        if value is not True:
+            # Validate here so a typo fails fast with a usage error
+            # rather than as one captured failure per sweep point.
+            try:
+                row.validate(value)
+            except ValueError as exc:
+                parser.error(f"--{row.flag}: {exc}")
         # Environment (not a parameter) so forked sweep workers attach
-        # a hub to every fabric they construct.  A cache hit would skip
-        # the simulation entirely and silently produce no artifacts for
-        # that point, so caching is disabled wholesale (mirrors
-        # --check).
-        os.environ["REPRO_TELEMETRY"] = "1"
+        # the observer to every fabric they construct.  Caching is off:
+        # a hit would skip the simulation (no checks, no faults, no
+        # artifacts), and observed rows must not poison the cache.
+        os.environ[row.env] = "1" if value is True else value
         os.environ["REPRO_NO_CACHE"] = "1"
-    if args.explain_out is not None:
-        os.environ["REPRO_EXPLAIN_DIR"] = str(args.explain_out)
-        if args.explain is None:
-            args.explain = "1"
-    if args.explain is not None:
-        # Validate here so a typo fails fast with a usage error rather
-        # than as one captured failure per sweep point (mirrors
-        # --faults).
-        from repro.explain.hub import parse_explain_spec
-
-        try:
-            parse_explain_spec(args.explain)
-        except ValueError as exc:
-            parser.error(f"--explain: {exc}")
-        # Environment (not a parameter) so forked sweep workers attach
-        # an attribution hub to every fabric they construct.  A cache
-        # hit would skip the simulation and silently produce no
-        # artifacts for that point, so caching is disabled wholesale
-        # (mirrors --check / --telemetry).
-        os.environ["REPRO_EXPLAIN"] = args.explain
-        os.environ["REPRO_NO_CACHE"] = "1"
-    if args.perf_out is not None:
-        os.environ["REPRO_PERF_DIR"] = str(args.perf_out)
-        args.perf = True
-    if args.perf:
-        # Environment (not a parameter) so forked sweep workers attach
-        # a profiler to every fabric they construct.  A cache hit skips
-        # the simulation, so there would be nothing to profile — caching
-        # is disabled wholesale (mirrors --check / --telemetry).
-        os.environ["REPRO_PERF"] = "1"
-        os.environ["REPRO_NO_CACHE"] = "1"
+        enabled.append(row)
     if args.experiment == "all":
         names = list(PAPER_EXPERIMENTS)
     elif args.experiment == "ablations":
         names = [name for name in EXPERIMENTS if name.startswith("abl_")]
     else:
         names = [args.experiment]
-    extra = []
-    if args.telemetry:
-        from repro.telemetry.observer import TelemetryObserver
-
-        extra.append(TelemetryObserver())
-    if args.perf:
-        from repro.perf.observer import PerfObserver
-
-        extra.append(PerfObserver())
-    if args.explain is not None:
-        from repro.explain.observer import ExplainObserver
-
-        extra.append(ExplainObserver())
+    extra: list[runner.SweepObserver] = [
+        ArtifactObserver(row.attr, row.artifact_dir(), SUFFIXES[row.attr])
+        for row in enabled
+        if row.dir_env
+    ]
     from repro.util import env
 
     if args.ledger or env.flag("REPRO_OBS"):

@@ -1,12 +1,13 @@
 """The attribution hub: exact latency and energy decomposition.
 
 ``ExplainHub`` observes one :class:`~repro.noc.multinoc.MultiNocFabric`
-under the per-instance shadowing contract (the same as
-:class:`repro.telemetry.hub.TelemetryHub`): every probe is an instance
-attribute, so a fabric without a hub executes the original unhooked
-class methods.  Attach order is perf → faults → checker → telemetry →
-explain: the hub attaches last, so attribution sees post-fault,
-checked, telemetry-visible behaviour.
+under the per-instance shadowing contract
+(:class:`repro.noc.observers.ShadowingObserver`): every probe is an
+instance attribute, so a fabric without a hub executes the original
+unhooked class methods.  The hub is the last row of
+:data:`repro.noc.observers.OBSERVERS` (perf → faults → checker →
+telemetry → explain), so attribution sees post-fault, checked,
+telemetry-visible behaviour.
 
 **Latency attribution.**  Every delivered packet's end-to-end latency
 ``received_cycle - created_cycle`` is split into eight named phases
@@ -54,10 +55,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.regional import OR_NETWORK_SWITCH_ENERGY_J
 from repro.noc.network import ActivityCounters
+from repro.noc.observers import ShadowingObserver
 from repro.noc.router import PowerState, Router
 from repro.power.router_power import RouterPowerModel
 from repro.util import env
@@ -71,8 +73,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ExplainHub",
     "PHASE_NAMES",
-    "explain_enabled",
-    "maybe_attach",
     "parse_explain_spec",
 ]
 
@@ -105,18 +105,6 @@ _GATING_FIELDS = (
     "compensated_sleep_cycles",
     "short_sleep_periods",
 )
-
-
-def explain_enabled() -> bool:
-    """True when ``REPRO_EXPLAIN`` asks for attribution."""
-    return env.flag("REPRO_EXPLAIN")
-
-
-def maybe_attach(fabric: "MultiNocFabric") -> "ExplainHub | None":
-    """Attach a hub to ``fabric`` when ``REPRO_EXPLAIN`` is set."""
-    if not explain_enabled():
-        return None
-    return ExplainHub.from_env(fabric).attach()
 
 
 def parse_explain_spec(spec: str) -> tuple[bool, bool]:
@@ -170,7 +158,7 @@ class _PacketTrace:
         self.head_eject = -1
 
 
-class ExplainHub:
+class ExplainHub(ShadowingObserver):
     """Latency and energy attribution for one fabric instance."""
 
     def __init__(
@@ -184,17 +172,13 @@ class ExplainHub:
     ) -> None:
         if window_cycles < 1:
             raise ValueError("window_cycles must be >= 1")
-        self.fabric = fabric
+        super().__init__(fabric)
         self.out_dir = out_dir
         self.max_packets = max_packets
         self.window_cycles = window_cycles
         self.latency = latency
         self.energy = energy
-        self.attached = False
         num_subnets = fabric.config.num_subnets
-        # (object, attribute, had_instance_attr, saved_value) records
-        # for detach; restored in reverse attach order.
-        self._saved: list[tuple[object, str, bool, object]] = []
         # --- latency ----------------------------------------------------
         self._packets: dict[int, _PacketTrace] = {}
         # Global packet ids depend on how many packets the process has
@@ -240,11 +224,6 @@ class ExplainHub:
     # ------------------------------------------------------------------
     # Attach / detach (per-instance shadowing)
     # ------------------------------------------------------------------
-    def _shadow(self, obj: Any, name: str, replacement: Any) -> None:
-        had = name in obj.__dict__
-        self._saved.append((obj, name, had, obj.__dict__.get(name)))
-        setattr(obj, name, replacement)
-
     def attach(self) -> "ExplainHub":
         """Install every probe on the fabric; returns ``self``.
 
@@ -299,26 +278,11 @@ class ExplainHub:
         self.attached = True
         return self
 
-    def detach(self) -> None:
-        """Remove every probe, restoring the pre-attach attributes."""
-        if not self.attached:
-            return
-        for obj, name, had, value in reversed(self._saved):
-            if had:
-                setattr(obj, name, value)
-            else:
-                delattr(obj, name)
-        self._saved.clear()
-        self.attached = False
-
     # ------------------------------------------------------------------
     # Shadowed fabric methods
     # ------------------------------------------------------------------
     def _explain_step(self) -> None:
-        orig_step = self._orig_step
-        if orig_step is None:  # pragma: no cover - attach() sets it
-            raise RuntimeError("explain hub is not attached")
-        orig_step()
+        self._orig_step()
         if (
             self.energy
             and self.fabric.cycle - self._window_start
@@ -869,21 +833,15 @@ class ExplainHub:
     def flush(self) -> dict[str, str]:
         """Write the attribution artifact; return its path.
 
-        Names follow the telemetry convention
-        (``{config}-s{seed}-p{pid}-r{n}`` with the process-wide flush
-        ref from :func:`repro.obs.artifacts.next_flush_ref`) so
-        parallel sweep workers and repeated flushes never collide.
+        The file shares the :func:`repro.obs.artifacts.artifact_stem`
+        naming of every observer's artifacts.
         """
-        from repro.obs.artifacts import next_flush_ref
+        from repro.obs.artifacts import artifact_stem
 
         out_dir = (
             self.out_dir if self.out_dir is not None else DEFAULT_DIR
         )
-        os.makedirs(out_dir, exist_ok=True)
-        fabric = self.fabric
-        prefix = f"{fabric.config.name}-s{fabric.seed}-p{os.getpid()}"
-        stem = f"{prefix}-r{next_flush_ref(prefix)}"
-        path = os.path.join(out_dir, f"{stem}.explain.json")
+        path = f"{artifact_stem(self.fabric, out_dir)}.explain.json"
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.document(), handle, separators=(",", ":"))
         return {"explain": path}

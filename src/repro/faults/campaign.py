@@ -2,8 +2,8 @@
 
 A campaign fans a (fault-class × fault-rate × countermeasure) grid over
 :func:`repro.experiments.runner.run_sweep`: every grid cell is one
-:meth:`PointSpec.fault` point — a synthetic-traffic simulation with an
-explicitly attached :class:`~repro.faults.engine.FaultEngine` — so
+:meth:`PointSpec.fault` point — a synthetic-traffic simulation whose
+:class:`~repro.faults.engine.FaultEngine` runs the point's own spec — so
 campaigns inherit the sweep layer's worker pool, on-disk cache, and
 progress observers for free.  Each cell runs twice, without and with
 the recovery mechanisms enabled, which is the resilience experiment the
@@ -73,24 +73,25 @@ def run_fault_point(
 ) -> dict[str, Any]:
     """One (config, pattern, load, fault-spec) measurement row.
 
-    The fault engine is attached *explicitly* from the point's own
-    spec string, replacing any engine the fabric constructor attached
-    from ``REPRO_FAULTS`` — a campaign point's faults are part of its
-    cache identity and must not depend on ambient environment.
+    The fault engine runs the point's own spec string — a campaign
+    point's faults are part of its cache identity and must not depend
+    on ambient environment.  An engine the fabric constructor attached
+    from ``REPRO_FAULTS`` is re-armed in place, keeping its slot inside
+    any checker or hub attached after it; otherwise one is attached.
     """
     fabric = MultiNocFabric(config, seed=seed)
-    if fabric.faults is not None:
-        fabric.faults.detach()
     spec = parse_fault_spec(faults)
-    engine = FaultEngine(fabric, spec).attach()
-    fabric.faults = engine
+    engine = fabric.faults
+    if engine is None:
+        engine = fabric.faults = FaultEngine(fabric, spec).attach()
+    else:
+        engine.rearm(spec)
     pattern = make_pattern(pattern_name, fabric.mesh)
     source = SyntheticTrafficSource(
         fabric, pattern, load, packet_bits, seed=seed
     )
     sim_report = run_open_loop(fabric, source, phases)
     meters.note_report(sim_report)
-    engine.detach()
     fault_report = engine.report()
     return {
         "config": config.name,

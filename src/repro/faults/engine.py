@@ -1,10 +1,8 @@
 """The fault-injection engine: deterministic, zero-overhead when off.
 
 ``FaultEngine`` perturbs one :class:`~repro.noc.multinoc.MultiNocFabric`
-by *shadowing* a handful of methods with per-instance attributes — the
-same contract as :class:`repro.perf.profiler.PhaseProfiler`,
-:class:`repro.analysis.invariants.InvariantChecker`, and
-:class:`repro.telemetry.hub.TelemetryHub`:
+by *shadowing* a handful of methods with per-instance attributes
+(:class:`repro.noc.observers.ShadowingObserver`):
 
 * ``fabric.step`` — arms scheduled events before the cycle and runs
   expiry + recovery policies after it;
@@ -19,9 +17,10 @@ same contract as :class:`repro.perf.profiler.PhaseProfiler`,
 
 Because shadowing only touches *instances*, a fabric without an engine
 runs plain class bytecode — fault-off runs take the identical code path
-as a build without this package.  Attach order in the fabric
-constructor is perf → **faults** → checker → telemetry, so the checker
-reconciles post-fault truth and telemetry observes it.
+as a build without this package.  Attach order
+(:data:`repro.noc.observers.OBSERVERS`) is perf → **faults** → checker
+→ telemetry → explain, so the checker reconciles post-fault truth and
+telemetry observes it.
 
 The engine keeps a deterministic event log (armed events, first hits,
 resolutions, recovery actions, watchdog trips) whose canonical JSON
@@ -51,6 +50,7 @@ from repro.faults.spec import (
     compile_schedule,
     parse_fault_spec,
 )
+from repro.noc.observers import ShadowingObserver
 from repro.noc.topology import Port
 from repro.util import env
 
@@ -61,26 +61,14 @@ if TYPE_CHECKING:
     from repro.noc.network import SubnetNetwork
     from repro.noc.router import Router
 
-__all__ = ["FaultEngine", "faults_enabled", "maybe_attach"]
+__all__ = ["FaultEngine"]
 
 #: Hard cap on event-log entries (a runaway-rate backstop; the count of
 #: suppressed entries is recorded so a truncated log is detectable).
 MAX_LOG_ENTRIES = 100_000
 
 
-def faults_enabled() -> bool:
-    """True when ``REPRO_FAULTS`` asks for fault injection."""
-    return env.flag("REPRO_FAULTS")
-
-
-def maybe_attach(fabric: "MultiNocFabric") -> "FaultEngine | None":
-    """Attach an engine to ``fabric`` when ``REPRO_FAULTS`` is set."""
-    if not faults_enabled():
-        return None
-    return FaultEngine.from_env(fabric).attach()
-
-
-class FaultEngine:
+class FaultEngine(ShadowingObserver):
     """Injects one compiled fault schedule into one fabric instance."""
 
     def __init__(
@@ -90,7 +78,24 @@ class FaultEngine:
         schedule: list[FaultEvent] | None = None,
         recovery: RecoveryConfig | None = None,
     ) -> None:
-        self.fabric = fabric
+        super().__init__(fabric)
+        self._orig_step: Callable[[], None] | None = None
+        self.rearm(spec, schedule, recovery)
+
+    def rearm(
+        self,
+        spec: FaultSpec | None = None,
+        schedule: list[FaultEvent] | None = None,
+        recovery: RecoveryConfig | None = None,
+    ) -> None:
+        """Load a fault schedule, resetting every ledger and log.
+
+        ``schedule`` and ``recovery`` default to what ``spec`` compiles
+        to.  On an attached engine the hooks stay where they are (the
+        engine keeps its slot in the attach order) and the wake timeout
+        is re-armed or disarmed to match the new recovery settings.
+        """
+        fabric = self.fabric
         self.spec = spec if spec is not None else FaultSpec()
         self.recovery = (
             recovery
@@ -102,7 +107,6 @@ class FaultEngine:
                 self.spec, fabric.config, fabric.mesh
             )
         self.schedule = sorted(schedule, key=lambda e: (e.cycle, e.seq))
-        self.attached = False
         num_subnets = fabric.config.num_subnets
         # --- live state -------------------------------------------------
         self._next_index = 0
@@ -135,9 +139,9 @@ class FaultEngine:
         #: (cycle, subnet, name) instants for the telemetry trace.
         self.fault_instants: list[tuple[int, int, str]] = []
         self.recovery_instants: list[tuple[int, int, str]] = []
-        # --- saved attributes for detach --------------------------------
-        self._saved: list[tuple[object, str, bool, object]] = []
-        self._orig_step: Callable[[], None] | None = None
+        if self.attached:
+            fabric.gating._wake_timeout = None
+            self._arm_wake_timeout()
 
     # ------------------------------------------------------------------
     # Construction from the environment
@@ -151,11 +155,6 @@ class FaultEngine:
     # ------------------------------------------------------------------
     # Attach / detach (per-instance shadowing)
     # ------------------------------------------------------------------
-    def _shadow(self, obj: Any, name: str, replacement: Any) -> None:
-        had = name in obj.__dict__
-        self._saved.append((obj, name, had, obj.__dict__.get(name)))
-        setattr(obj, name, replacement)
-
     def attach(self) -> "FaultEngine":
         """Install every hook on the fabric; returns ``self``."""
         if self.attached:
@@ -186,28 +185,25 @@ class FaultEngine:
             self._shadow(
                 ni, "packet_sink", self._make_sink_tap(ni.packet_sink)
             )
-        if self.recovery.wakeup_timeout_enabled:
-            gating.arm_wake_timeout(
-                self.recovery.wakeup_timeout,
-                self.recovery.wakeup_backoff,
-                self.recovery.wakeup_timeout_max,
-            )
+        self._arm_wake_timeout()
         self.attached = True
         return self
 
+    def _arm_wake_timeout(self) -> None:
+        recovery = self.recovery
+        if recovery.wakeup_timeout_enabled:
+            self.fabric.gating.arm_wake_timeout(
+                recovery.wakeup_timeout,
+                recovery.wakeup_backoff,
+                recovery.wakeup_timeout_max,
+            )
+
     def detach(self) -> None:
-        """Remove every hook, restoring the pre-attach attributes."""
+        """Remove every hook and disarm the wake timeout."""
         if not self.attached:
             return
-        for obj, name, had, value in reversed(self._saved):
-            if had:
-                setattr(obj, name, value)
-            else:
-                delattr(obj, name)
-        self._saved.clear()
+        super().detach()
         self.fabric.gating._wake_timeout = None
-        self._orig_step = None
-        self.attached = False
 
     # ------------------------------------------------------------------
     # Event log

@@ -15,7 +15,7 @@ and experiment drivers need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 from repro.core.gating import GatingStats, PowerGatingController
 from repro.core.monitor import CongestionMonitor
@@ -25,10 +25,10 @@ from repro.noc.config import NocConfig
 from repro.noc.flit import Packet
 from repro.noc.interface import NetworkInterface
 from repro.noc.network import SubnetNetwork
+from repro.noc.observers import attach_observers
 from repro.noc.routing import XYRouting
 from repro.noc.stats import NetworkStats
 from repro.noc.topology import ConcentratedMesh
-from repro.util import env
 from repro.util.rng import DeterministicRng
 
 __all__ = ["MultiNocFabric", "FabricReport"]
@@ -79,6 +79,14 @@ class FabricReport:
 
 class MultiNocFabric:
     """A complete multiple network-on-chip instance."""
+
+    #: Attached observers (:data:`repro.noc.observers.OBSERVERS`); each
+    #: is ``None`` unless its ``REPRO_*`` switch was on at construction.
+    perf: Any
+    faults: Any
+    invariant_checker: Any
+    telemetry: Any
+    explain: Any
 
     def __init__(
         self,
@@ -133,50 +141,10 @@ class MultiNocFabric:
         # state-equivalence contract, so the choice never alters
         # results — only wall-clock.
         self.backend = make_backend(backend or DEFAULT_BACKEND, self)
-        # Simulator self-profiling (repro.perf): attached FIRST so the
-        # invariant checker and telemetry hub below wrap the phased
-        # step — their instance shadows capture whatever ``step`` is
-        # bound at attach time, so the three observers compose.
-        self.perf = None
-        if env.flag("REPRO_PERF"):
-            from repro.perf.profiler import PhaseProfiler
-
-            self.perf = PhaseProfiler.from_env(self).attach()
-        # Fault injection (repro.faults): attached after perf (so the
-        # engine wraps the phased step) and before the checker and
-        # telemetry (so the checker reconciles post-fault truth and
-        # telemetry observes injected behaviour).
-        self.faults = None
-        if env.flag("REPRO_FAULTS"):
-            from repro.faults.engine import FaultEngine
-
-            self.faults = FaultEngine.from_env(self).attach()
-        # Runtime invariant checking (repro.analysis.invariants): the
-        # checker shadows ``step`` on this instance only, so unchecked
-        # fabrics keep the unhooked fast path with zero overhead.
-        self.invariant_checker = None
-        if env.flag("REPRO_CHECK"):
-            from repro.analysis.invariants import InvariantChecker
-
-            self.invariant_checker = InvariantChecker(self).attach()
-        # Telemetry (repro.telemetry): same per-instance shadowing
-        # contract — an unattached fabric keeps the unhooked class
-        # methods, so telemetry-off runs execute the identical code
-        # path as a build without the telemetry package.
-        self.telemetry = None
-        if env.flag("REPRO_TELEMETRY"):
-            from repro.telemetry.hub import TelemetryHub
-
-            self.telemetry = TelemetryHub.from_env(self).attach()
-        # Attribution (repro.explain): attached LAST so the phase and
-        # energy decompositions observe post-fault, checked,
-        # telemetry-visible behaviour — and so the hub can merge its
-        # phase spans into the telemetry trace when both are on.
-        self.explain = None
-        if env.flag("REPRO_EXPLAIN"):
-            from repro.explain.hub import ExplainHub
-
-            self.explain = ExplainHub.from_env(self).attach()
+        # Observers (repro.noc.observers): attached in OBSERVERS order
+        # when their REPRO_* switch is on; an unobserved fabric carries
+        # no instance shadow and runs the plain class methods.
+        attach_observers(self)
 
     # ------------------------------------------------------------------
     # Plumbing

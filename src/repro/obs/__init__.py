@@ -20,9 +20,10 @@ execution durable and queryable:
   ledger with the telemetry/perf artifacts its points produced into an
   energy-proportionality rollup plus a machine-readable
   ``report.json``;
-* :mod:`repro.obs.artifacts` — the fresh-artifact directory scanner
-  shared with :class:`repro.telemetry.observer.TelemetryObserver` and
-  :class:`repro.perf.observer.PerfObserver`.
+* :mod:`repro.obs.artifacts` — the fresh-artifact directory scanner,
+  shared by the ledger and by
+  :class:`~repro.obs.artifacts.ArtifactObserver`, which prints each
+  telemetry, perf or explain artifact as sweep points finish.
 
 Enable per run with ``catnap-experiments <fig> --ledger`` (or
 ``REPRO_OBS=1``); artifacts land under ``REPRO_OBS_DIR`` (default

@@ -1,12 +1,12 @@
 """Artifact-directory scanning and artifact readers for the rollup.
 
-Three subsystems drop per-point files into ``results/`` directories
+Three observers drop per-point files into ``results/`` directories
 while a sweep runs: telemetry (``*.timeseries.json``, ``*.trace.json``,
 ``*.summary.txt``), perf (``*.perf.json``, ``*.pstats``,
-``*.folded.txt``), and the ledger itself.  :class:`ArtifactScanner` is
-the one implementation of "which files appeared since I last looked" —
-:class:`repro.telemetry.observer.TelemetryObserver`,
-:class:`repro.perf.observer.PerfObserver`, and the run ledger all scan
+``*.folded.txt``) and explain (``*.explain.json``).
+:class:`ArtifactScanner` is the one implementation of "which files
+appeared since I last looked": :class:`ArtifactObserver` (one per
+enabled observer on the experiments CLI) and the run ledger both scan
 through it, so a new artifact suffix only has to be taught in one
 place.
 
@@ -22,12 +22,19 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+from typing import Any, TextIO
+
+from repro.experiments.runner import SweepObserver
 
 __all__ = [
     "TELEMETRY_SUFFIXES",
     "PERF_SUFFIXES",
     "EXPLAIN_SUFFIXES",
+    "SUFFIXES",
+    "ArtifactObserver",
     "ArtifactScanner",
+    "artifact_stem",
     "classify_artifact",
     "explain_tax",
     "next_flush_ref",
@@ -47,6 +54,13 @@ PERF_SUFFIXES: tuple[str, ...] = (".perf.json", ".pstats", ".folded.txt")
 
 #: File suffixes the attribution hub's ``flush`` produces.
 EXPLAIN_SUFFIXES: tuple[str, ...] = (".explain.json",)
+
+#: Artifact suffixes by observer (its ``OBSERVERS`` attribute name).
+SUFFIXES: dict[str, tuple[str, ...]] = {
+    "perf": PERF_SUFFIXES,
+    "telemetry": TELEMETRY_SUFFIXES,
+    "explain": EXPLAIN_SUFFIXES,
+}
 
 #: Suffix → artifact kind, most specific first (``.timeseries.json``
 #: must win over a hypothetical bare ``.json`` entry).
@@ -107,6 +121,47 @@ class ArtifactScanner:
         return paths
 
 
+class ArtifactObserver(SweepObserver):
+    """Announces an observer's new artifacts as sweep points complete.
+
+    Observers attach inside sweep worker processes (the fabric
+    constructor reads their ``REPRO_*`` switch), so the parent CLI
+    process only sees the files they flush.  Each fresh file in
+    ``directory`` is printed as ``  <label>: <path>``.
+    """
+
+    def __init__(
+        self,
+        label: str,
+        directory: str,
+        suffixes: tuple[str, ...],
+        stream: TextIO | None = None,
+    ) -> None:
+        self.label = label
+        self.stream: TextIO = stream if stream is not None else sys.stderr
+        self._scanner = ArtifactScanner(directory, suffixes)
+        #: Every artifact path reported so far, in report order.
+        self.reported: list[str] = []
+
+    def sweep_started(self, total: int) -> None:
+        # Pre-existing artifacts belong to earlier runs; only report
+        # what this sweep produces.
+        self._scanner.prime()
+
+    def point_finished(self, *_args: Any) -> None:
+        self._report_fresh()
+
+    def sweep_finished(self, *_args: Any) -> None:
+        # Parallel workers may flush after their point_finished record
+        # was consumed; catch any stragglers.
+        self._report_fresh()
+
+    def _report_fresh(self) -> None:
+        for path in self._scanner.fresh():
+            self.reported.append(path)
+            print(f"  {self.label}: {path}", file=self.stream)
+
+
 #: Process-wide flush counts per artifact-stem prefix; see
 #: :func:`next_flush_ref`.
 _FLUSH_REFS: dict[str, int] = {}
@@ -128,6 +183,18 @@ def next_flush_ref(prefix: str) -> int:
     ref = _FLUSH_REFS.get(prefix, 0)
     _FLUSH_REFS[prefix] = ref + 1
     return ref
+
+
+def artifact_stem(fabric: Any, out_dir: str) -> str:
+    """Path stem ``<out_dir>/{config}-s{seed}-p{pid}-r{n}`` for one
+    flush of ``fabric``'s artifacts; creates ``out_dir``.
+
+    Seed and pid keep parallel sweep workers apart and ``r`` comes from
+    :func:`next_flush_ref`, so repeated flushes never collide.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    prefix = f"{fabric.config.name}-s{fabric.seed}-p{os.getpid()}"
+    return os.path.join(out_dir, f"{prefix}-r{next_flush_ref(prefix)}")
 
 
 def classify_artifact(path: str) -> str:

@@ -44,12 +44,8 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any
 
 from repro.experiments.runner import SweepObserver
-from repro.obs.artifacts import (
-    EXPLAIN_SUFFIXES,
-    PERF_SUFFIXES,
-    TELEMETRY_SUFFIXES,
-    ArtifactScanner,
-)
+from repro.noc.observers import OBSERVERS
+from repro.obs.artifacts import SUFFIXES, ArtifactScanner
 from repro.util import env
 
 if TYPE_CHECKING:
@@ -60,7 +56,6 @@ __all__ = [
     "LEDGER_NAME",
     "DEFAULT_DIR",
     "LedgerObserver",
-    "ledger_enabled",
     "run_id_for",
     "canonical_digest",
     "read_ledger",
@@ -98,11 +93,6 @@ _ROW_SUMMARY_KEYS = (
     "tenants",
     "sleep_frac",
 )
-
-
-def ledger_enabled() -> bool:
-    """True when ``REPRO_OBS`` asks for a run ledger on every sweep."""
-    return env.flag("REPRO_OBS")
 
 
 def default_dir() -> str:
@@ -328,32 +318,11 @@ class LedgerObserver(SweepObserver):
             run_dir / LEDGER_NAME, "a", buffering=1, encoding="utf-8"
         )
         self._seq = 0
-        self._scanners = []
-        from repro.perf.profiler import DEFAULT_DIR as PERF_DIR
-        from repro.telemetry.hub import DEFAULT_DIR as TELEMETRY_DIR
-
-        if env.flag("REPRO_TELEMETRY"):
-            self._scanners.append(
-                ArtifactScanner(
-                    env.text("REPRO_TELEMETRY_DIR", TELEMETRY_DIR),
-                    TELEMETRY_SUFFIXES,
-                )
-            )
-        if env.flag("REPRO_PERF"):
-            self._scanners.append(
-                ArtifactScanner(
-                    env.text("REPRO_PERF_DIR", PERF_DIR), PERF_SUFFIXES
-                )
-            )
-        if env.flag("REPRO_EXPLAIN"):
-            from repro.explain.hub import DEFAULT_DIR as EXPLAIN_DIR
-
-            self._scanners.append(
-                ArtifactScanner(
-                    env.text("REPRO_EXPLAIN_DIR", EXPLAIN_DIR),
-                    EXPLAIN_SUFFIXES,
-                )
-            )
+        self._scanners = [
+            ArtifactScanner(row.artifact_dir(), SUFFIXES[row.attr])
+            for row in OBSERVERS
+            if row.dir_env and env.flag(row.env)
+        ]
         for scanner in self._scanners:
             scanner.prime()
         self._emit(

@@ -1,9 +1,8 @@
 """The phase profiler: where does the simulator's wall-clock go?
 
 ``PhaseProfiler`` observes one :class:`~repro.noc.multinoc.MultiNocFabric`
-by *shadowing* instance methods, the exact contract of
-:class:`repro.telemetry.hub.TelemetryHub` and
-:class:`repro.analysis.invariants.InvariantChecker`:
+by *shadowing* instance methods through
+:class:`repro.noc.observers.ShadowingObserver`:
 
 * ``fabric.step`` — replaced by a phase-bracketed mirror of the step
   loop that times link delivery, the congestion monitor, NI
@@ -30,7 +29,7 @@ phase and per bracketed stage event) — it buys a per-phase breakdown;
 use the throughput meters (:mod:`repro.perf.meters`) when only
 aggregate rates are needed.
 
-Enable with ``REPRO_PERF=1`` (see :func:`perf_enabled`); artifacts go
+Enable with ``REPRO_PERF=1``; artifacts go
 to ``REPRO_PERF_DIR`` (default ``results/perf``).  Setting
 ``REPRO_PERF_CPROFILE=1`` additionally captures a deterministic
 ``cProfile`` of every step and flushes a ``.pstats`` dump plus a
@@ -45,6 +44,7 @@ import os
 from time import perf_counter_ns
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.noc.observers import ShadowingObserver
 from repro.noc.router import Router
 from repro.perf.phases import (
     ROUTER_STAGES,
@@ -65,9 +65,7 @@ __all__ = [
     "PROFILE_SCHEMA",
     "DEFAULT_DIR",
     "PhaseProfiler",
-    "perf_enabled",
     "cprofile_enabled",
-    "maybe_attach",
 ]
 
 #: Schema tag stamped into every ``*.perf.json`` artifact.
@@ -87,24 +85,12 @@ _HISTOGRAM_PHASES = (
 )
 
 
-def perf_enabled() -> bool:
-    """True when ``REPRO_PERF`` asks for simulator self-profiling."""
-    return env.flag("REPRO_PERF")
-
-
 def cprofile_enabled() -> bool:
     """True when ``REPRO_PERF_CPROFILE`` asks for a cProfile capture."""
     return env.flag("REPRO_PERF_CPROFILE")
 
 
-def maybe_attach(fabric: "MultiNocFabric") -> "PhaseProfiler | None":
-    """Attach a profiler to ``fabric`` when ``REPRO_PERF`` is set."""
-    if not perf_enabled():
-        return None
-    return PhaseProfiler.from_env(fabric).attach()
-
-
-class PhaseProfiler:
+class PhaseProfiler(ShadowingObserver):
     """Per-phase wall-clock accounting for one fabric instance."""
 
     def __init__(
@@ -113,9 +99,8 @@ class PhaseProfiler:
         out_dir: str | None = None,
         capture_cprofile: bool = False,
     ) -> None:
-        self.fabric = fabric
+        super().__init__(fabric)
         self.out_dir = out_dir
-        self.attached = False
         self.steps = 0
         # Nanosecond accumulators for the top-level step slices.
         self._ns_link = 0
@@ -130,8 +115,6 @@ class PhaseProfiler:
             name: BoundedHistogram() for name in _HISTOGRAM_PHASES
         }
         self._flits_at_attach = self._flits_routed_now()
-        self._flush_count = 0
-        self._saved: list[tuple[object, str, bool, object]] = []
         self._cprofile: "cProfile.Profile | None" = None
         if capture_cprofile:
             import cProfile as _cprofile
@@ -154,11 +137,6 @@ class PhaseProfiler:
     # ------------------------------------------------------------------
     # Attach / detach (per-instance shadowing)
     # ------------------------------------------------------------------
-    def _shadow(self, obj: Any, name: str, replacement: Any) -> None:
-        had = name in obj.__dict__
-        self._saved.append((obj, name, had, obj.__dict__.get(name)))
-        setattr(obj, name, replacement)
-
     def attach(self) -> "PhaseProfiler":
         """Install the step/report/regional probes; returns ``self``."""
         if self.attached:
@@ -178,19 +156,13 @@ class PhaseProfiler:
         return self
 
     def detach(self) -> None:
-        """Remove every probe, restoring the pre-attach attributes."""
+        """Remove every probe and give the routers back ``Router``."""
         if not self.attached:
             return
-        for obj, name, had, value in reversed(self._saved):
-            if had:
-                setattr(obj, name, value)
-            else:
-                delattr(obj, name)
-        self._saved.clear()
+        super().detach()
         for network in self.fabric.subnets:
             for router in network.routers:
                 router.__class__ = Router
-        self.attached = False
 
     # ------------------------------------------------------------------
     # Shadowed methods
@@ -432,32 +404,20 @@ class PhaseProfiler:
     def flush(self) -> dict[str, str]:
         """Write the profile artifacts; return their paths.
 
-        Files are named ``{config}-s{seed}-p{pid}-r{n}`` so parallel
-        sweep workers and repeated flushes never collide (the same
-        convention — and the same process-wide
-        :func:`repro.obs.artifacts.next_flush_ref` counter — as
-        telemetry artifacts; per-instance counters would overwrite
-        when one process profiles two same-config fabrics).
+        Files share the :func:`repro.obs.artifacts.artifact_stem`
+        naming of every observer's artifacts.
         """
-        from repro.obs.artifacts import next_flush_ref
+        from repro.obs.artifacts import artifact_stem
 
         out_dir = self.out_dir if self.out_dir is not None else DEFAULT_DIR
-        os.makedirs(out_dir, exist_ok=True)
-        fabric = self.fabric
-        prefix = (
-            f"{fabric.config.name}-s{fabric.seed}-p{os.getpid()}"
-        )
-        stem = f"{prefix}-r{next_flush_ref(prefix)}"
-        self._flush_count += 1
-        paths = {"profile": os.path.join(out_dir, f"{stem}.perf.json")}
+        stem = artifact_stem(self.fabric, out_dir)
+        paths = {"profile": f"{stem}.perf.json"}
         with open(paths["profile"], "w", encoding="utf-8") as handle:
             json.dump(self.profile(), handle, separators=(",", ":"))
         if self._cprofile is not None:
-            paths["pstats"] = os.path.join(out_dir, f"{stem}.pstats")
+            paths["pstats"] = f"{stem}.pstats"
             self._cprofile.dump_stats(paths["pstats"])
-            paths["folded"] = os.path.join(
-                out_dir, f"{stem}.folded.txt"
-            )
+            paths["folded"] = f"{stem}.folded.txt"
             with open(paths["folded"], "w", encoding="utf-8") as handle:
                 handle.write("\n".join(self._folded_stacks()) + "\n")
         return paths

@@ -1,8 +1,8 @@
 """The telemetry hub: zero-overhead probes over a Multi-NoC fabric.
 
 ``TelemetryHub`` observes one :class:`~repro.noc.multinoc.MultiNocFabric`
-by *shadowing* a handful of methods with per-instance attributes (the
-same contract as :class:`repro.analysis.invariants.InvariantChecker`):
+by *shadowing* a handful of methods with per-instance attributes
+(:class:`repro.noc.observers.ShadowingObserver`):
 
 * ``fabric.step`` — drives the periodic time-series sampler and the
   per-cycle LCS toggle diff;
@@ -18,7 +18,7 @@ same contract as :class:`repro.analysis.invariants.InvariantChecker`):
 Because shadowing only touches *instances*, a fabric without a hub
 executes the original unhooked class methods: telemetry-off runs take
 the identical code path as a build without this package.  Enable with
-``REPRO_TELEMETRY=1`` (see :func:`telemetry_enabled`); tune with
+``REPRO_TELEMETRY=1``; tune with
 ``REPRO_TELEMETRY_PERIOD`` (sampling period, default 64 cycles),
 ``REPRO_TELEMETRY_DIR`` (output directory, default
 ``results/telemetry``) and ``REPRO_TELEMETRY_MAX_PACKETS`` (packet
@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
+from repro.noc.observers import ShadowingObserver
 from repro.noc.router import PowerState, Router
 from repro.telemetry.samplers import TimeSeriesSampler
 from repro.telemetry.trace import build_chrome_trace
@@ -53,7 +54,7 @@ if TYPE_CHECKING:
     from repro.noc.flit import Packet
     from repro.noc.multinoc import MultiNocFabric
 
-__all__ = ["TelemetryHub", "telemetry_enabled", "maybe_attach"]
+__all__ = ["TelemetryHub"]
 
 #: Defaults for the environment knobs.
 DEFAULT_PERIOD = 64
@@ -61,19 +62,7 @@ DEFAULT_DIR = os.path.join("results", "telemetry")
 DEFAULT_MAX_PACKETS = 20_000
 
 
-def telemetry_enabled() -> bool:
-    """True when ``REPRO_TELEMETRY`` asks for fabric telemetry."""
-    return env.flag("REPRO_TELEMETRY")
-
-
-def maybe_attach(fabric: "MultiNocFabric") -> "TelemetryHub | None":
-    """Attach a hub to ``fabric`` when ``REPRO_TELEMETRY`` is set."""
-    if not telemetry_enabled():
-        return None
-    return TelemetryHub.from_env(fabric).attach()
-
-
-class TelemetryHub:
+class TelemetryHub(ShadowingObserver):
     """Probes, samplers, and trace export for one fabric instance."""
 
     def __init__(
@@ -83,15 +72,11 @@ class TelemetryHub:
         out_dir: str | None = None,
         max_packets: int = DEFAULT_MAX_PACKETS,
     ) -> None:
-        self.fabric = fabric
+        super().__init__(fabric)
         self.out_dir = out_dir
         self.max_packets = max_packets
         self.sampler = TimeSeriesSampler(fabric, period)
-        self.attached = False
         num_subnets = fabric.config.num_subnets
-        # (object, attribute, had_instance_attr, saved_value) records
-        # for detach; restored in reverse attach order.
-        self._saved: list[tuple[object, str, bool, object]] = []
         # --- power transitions ------------------------------------------
         # Open intervals keyed by id(router); totals per subnet follow
         # the GatingStats entry-count convention (module docstring).
@@ -128,7 +113,6 @@ class TelemetryHub:
         self.unfinished_packets = 0
         self.ejected_per_subnet = [0] * num_subnets
         self.latency = BoundedHistogram()
-        self._flush_count = 0
         self._orig_step: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------
@@ -152,11 +136,6 @@ class TelemetryHub:
     # ------------------------------------------------------------------
     # Attach / detach (per-instance shadowing)
     # ------------------------------------------------------------------
-    def _shadow(self, obj: Any, name: str, replacement: Any) -> None:
-        had = name in obj.__dict__
-        self._saved.append((obj, name, had, obj.__dict__.get(name)))
-        setattr(obj, name, replacement)
-
     def attach(self) -> "TelemetryHub":
         """Install every probe on the fabric; returns ``self``."""
         if self.attached:
@@ -185,18 +164,6 @@ class TelemetryHub:
         self.attached = True
         return self
 
-    def detach(self) -> None:
-        """Remove every probe, restoring the pre-attach attributes."""
-        if not self.attached:
-            return
-        for obj, name, had, value in reversed(self._saved):
-            if had:
-                setattr(obj, name, value)
-            else:
-                delattr(obj, name)
-        self._saved.clear()
-        self.attached = False
-
     # ------------------------------------------------------------------
     # Shadowed fabric methods
     # ------------------------------------------------------------------
@@ -207,10 +174,7 @@ class TelemetryHub:
             # Pre-step sample: a consistent post-gating snapshot of the
             # previous cycle (gating.step runs last inside step()).
             self.sampler.sample(cycle)
-        orig_step = self._orig_step
-        if orig_step is None:  # pragma: no cover - attach() sets it
-            raise RuntimeError("telemetry hub is not attached")
-        orig_step()
+        self._orig_step()
         # LCS toggle diff: monitor.update ran inside the step, so the
         # latched rows are the post-step truth for this cycle.
         prev = self._prev_lcs
@@ -535,31 +499,17 @@ class TelemetryHub:
     def flush(self) -> dict[str, str]:
         """Write the three telemetry artifacts; return their paths.
 
-        Files are named ``{config}-s{seed}-p{pid}-r{n}`` so parallel
-        sweep workers and repeated flushes never collide.  The ``r``
-        counter is process-wide
-        (:func:`repro.obs.artifacts.next_flush_ref`), not per-hub: two
-        fabrics with the same config and seed in one process (e.g. a
-        sweep probing two loads of one configuration) each get their
-        own hub, and per-instance counters would silently overwrite
-        the first fabric's artifacts with the second's.
+        Files share the :func:`repro.obs.artifacts.artifact_stem`
+        naming of every observer's artifacts.
         """
-        from repro.obs.artifacts import next_flush_ref
+        from repro.obs.artifacts import artifact_stem
 
         out_dir = self.out_dir if self.out_dir is not None else DEFAULT_DIR
-        os.makedirs(out_dir, exist_ok=True)
-        fabric = self.fabric
-        prefix = (
-            f"{fabric.config.name}-s{fabric.seed}-p{os.getpid()}"
-        )
-        stem = f"{prefix}-r{next_flush_ref(prefix)}"
-        self._flush_count += 1
+        stem = artifact_stem(self.fabric, out_dir)
         paths = {
-            "timeseries": os.path.join(
-                out_dir, f"{stem}.timeseries.json"
-            ),
-            "trace": os.path.join(out_dir, f"{stem}.trace.json"),
-            "summary": os.path.join(out_dir, f"{stem}.summary.txt"),
+            "timeseries": f"{stem}.timeseries.json",
+            "trace": f"{stem}.trace.json",
+            "summary": f"{stem}.summary.txt",
         }
         with open(paths["timeseries"], "w", encoding="utf-8") as handle:
             json.dump(

@@ -361,6 +361,76 @@ def test_sim101_accepts_documented_attach_order(tmp_path):
     assert rules_of(tmp_path, {"repro/wiring.py": wiring}) == []
 
 
+_SHADOW_BASE = """
+    from typing import Any
+
+
+    class ShadowingObserver:
+        def __init__(self, fabric) -> None:
+            self.fabric = fabric
+            self._saved: list = []
+
+        def _shadow(self, obj: Any, name: str, replacement: Any) -> None:
+            had = name in obj.__dict__
+            self._saved.append((obj, name, had, obj.__dict__.get(name)))
+            setattr(obj, name, replacement)
+
+        def detach(self) -> None:
+            for obj, name, had, value in reversed(self._saved):
+                if had:
+                    setattr(obj, name, value)
+                else:
+                    delattr(obj, name)
+            self._saved.clear()
+"""
+
+_HUB_SUBCLASS = """
+    from repro.noc.observers import ShadowingObserver
+
+
+    class TelemetryHub(ShadowingObserver):
+        def attach(self) -> "TelemetryHub":
+            self._shadow(self.fabric, "step", self._telemetry_step)
+            return self
+    %s
+        def _telemetry_step(self) -> None:
+            pass
+"""
+
+
+def test_sim101_accepts_subclass_using_the_base_detach(tmp_path):
+    overrides = {
+        "repro/noc/observers.py": _SHADOW_BASE,
+        "repro/telemetry/hub.py": _HUB_SUBCLASS % "",
+    }
+    assert rules_of(tmp_path, overrides) == []
+
+
+def test_sim101_accepts_detach_override_calling_super(tmp_path):
+    override = """
+        def detach(self) -> None:
+            super().detach()
+            self.fabric.cycle = 0
+    """
+    overrides = {
+        "repro/noc/observers.py": _SHADOW_BASE,
+        "repro/telemetry/hub.py": _HUB_SUBCLASS % override,
+    }
+    assert rules_of(tmp_path, overrides) == []
+
+
+def test_sim101_detects_detach_override_skipping_super(tmp_path):
+    override = """
+        def detach(self) -> None:
+            self.fabric.cycle = 0
+    """
+    overrides = {
+        "repro/noc/observers.py": _SHADOW_BASE,
+        "repro/telemetry/hub.py": _HUB_SUBCLASS % override,
+    }
+    assert rules_of(tmp_path, overrides).count("SIM101") == 1
+
+
 # ----------------------------------------------------------------------
 # SIM102 — backend conformance
 # ----------------------------------------------------------------------

@@ -28,14 +28,12 @@ from repro.explain.cli import main as explain_main
 from repro.explain.hub import (
     PHASE_NAMES,
     ExplainHub,
-    explain_enabled,
-    maybe_attach,
     parse_explain_spec,
 )
-from repro.explain.observer import ExplainObserver
 from repro.noc.multinoc import MultiNocFabric
 from repro.obs.artifacts import (
     EXPLAIN_SUFFIXES,
+    ArtifactObserver,
     classify_artifact,
     explain_tax,
 )
@@ -115,13 +113,14 @@ class TestSpecParsing:
             parse_explain_spec("latency,bogus")
 
     def test_enabled_reads_env(self, monkeypatch):
-        assert not explain_enabled()
         monkeypatch.setenv("REPRO_EXPLAIN", "0")
-        assert not explain_enabled()
-        monkeypatch.setenv("REPRO_EXPLAIN", "1")
-        assert explain_enabled()
+        assert gated_fabric().explain is None
         monkeypatch.setenv("REPRO_EXPLAIN", "latency")
-        assert explain_enabled()
+        hub = gated_fabric().explain
+        assert hub is not None and (hub.latency, hub.energy) == (
+            True,
+            False,
+        )
 
 
 class TestZeroOverhead:
@@ -153,10 +152,9 @@ class TestZeroOverhead:
         assert any(n.endswith(".explain.json") for n in names)
 
     def test_maybe_attach_respects_env(self, monkeypatch):
-        fabric = gated_fabric()
-        assert maybe_attach(fabric) is None
+        assert gated_fabric().explain is None
         monkeypatch.setenv("REPRO_EXPLAIN", "1")
-        hub = maybe_attach(gated_fabric())
+        hub = gated_fabric().explain
         assert hub is not None and hub.attached
 
     def test_detach_restores_every_shadow(self):
@@ -399,8 +397,8 @@ class TestArtifactsAndObserver:
         import io
 
         stream = io.StringIO()
-        observer = ExplainObserver(
-            directory=str(tmp_path), stream=stream
+        observer = ArtifactObserver(
+            "explain", str(tmp_path), EXPLAIN_SUFFIXES, stream=stream
         )
         (tmp_path / "old.explain.json").write_text("{}")
         observer.sweep_started(1)
@@ -412,8 +410,8 @@ class TestArtifactsAndObserver:
         assert "explain:" in stream.getvalue()
 
     def test_observer_survives_missing_directory(self, tmp_path):
-        observer = ExplainObserver(
-            directory=str(tmp_path / "missing")
+        observer = ArtifactObserver(
+            "explain", str(tmp_path / "missing"), EXPLAIN_SUFFIXES
         )
         observer.sweep_started(1)
         observer.point_finished(0, None, [], 0.0, False)

@@ -17,10 +17,11 @@ from repro.faults.campaign import (
     run_campaign,
     run_fault_point,
 )
-from repro.faults.engine import FaultEngine, faults_enabled, maybe_attach
+from repro.faults.engine import FaultEngine
 from repro.faults.recovery import RecoveryConfig
 from repro.faults.spec import (
     FAULT_CLASSES,
+    RECOVERY_NAMES,
     FaultEvent,
     FaultSpec,
     compile_schedule,
@@ -160,16 +161,16 @@ class TestZeroOverhead:
             assert "deliver_arrivals" not in network.__dict__
 
     def test_faults_enabled_switch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        assert not faults_enabled()
         monkeypatch.setenv("REPRO_FAULTS", "0")
-        assert not faults_enabled()
+        assert MultiNocFabric(small_config(), seed=5).faults is None
         monkeypatch.setenv("REPRO_FAULTS", "rate=0.01")
-        assert faults_enabled()
+        assert MultiNocFabric(small_config(), seed=5).faults is not None
 
-    def test_maybe_attach_is_noop_when_off(self, monkeypatch, fabric):
+    def test_maybe_attach_is_noop_when_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        assert maybe_attach(fabric) is None
+        fabric = MultiNocFabric(small_config(), seed=5)
+        assert fabric.faults is None
+        assert "step" not in fabric.__dict__
 
     def test_env_attach_in_constructor(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "rate=0.01;seed=4")
@@ -447,6 +448,47 @@ class TestCampaign:
         ]
         assert rows[0] == rows[1]
         assert rows[0]["event_digest"]
+
+    def test_point_under_checker_ignores_ambient_faults(self, monkeypatch):
+        """An ambient REPRO_FAULTS engine is re-armed in place, so the
+        checker attached after it keeps checking and the row equals the
+        one run without the ambient spec."""
+        from repro.experiments.common import synthetic_phases
+        from repro.faults import campaign
+        from repro.faults.campaign import campaign_config
+
+        built = []
+
+        class RecordingFabric(MultiNocFabric):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(campaign, "MultiNocFabric", RecordingFabric)
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        phases = synthetic_phases(0.02)
+        spec = FaultSpec(
+            rate=0.01,
+            classes=("drop-wakeup", "drop-flit"),
+            end=phases.total,
+            seed=2,
+            recover=RECOVERY_NAMES,
+        ).to_string()
+        rows = []
+        for ambient in (None, "rate=0.001"):
+            if ambient is None:
+                monkeypatch.delenv("REPRO_FAULTS", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_FAULTS", ambient)
+            rows.append(
+                run_fault_point(
+                    campaign_config(), "uniform", 0.3, phases, 7, spec
+                )
+            )
+            checker = built[-1].invariant_checker
+            assert checker.counts["flit-conservation"] > 0
+        assert rows[0] == rows[1]
+        assert rows[0]["event_digest"] == rows[1]["event_digest"]
 
     def test_campaign_serial_equals_parallel(self):
         kwargs = dict(

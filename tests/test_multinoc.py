@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +14,7 @@ from tests.conftest import gated_config, small_config, small_fabric
 
 from repro.noc.flit import MessageClass, Packet
 from repro.noc.multinoc import MultiNocFabric
+from repro.noc.observers import OBSERVERS
 
 
 class TestDelivery:
@@ -195,3 +200,125 @@ class TestHopCounts:
             <= report.latency_p95
             <= report.latency_p99
         )
+
+
+# ----------------------------------------------------------------------
+# The observer table (repro.noc.observers)
+# ----------------------------------------------------------------------
+
+_SWITCHES = [row.env for row in OBSERVERS]
+
+
+def _clear_switches(monkeypatch, tmp_path) -> None:
+    for row in OBSERVERS:
+        monkeypatch.delenv(row.env, raising=False)
+        if row.dir_env:
+            monkeypatch.setenv(row.dir_env, str(tmp_path / row.attr))
+
+
+def _method_shadows(fabric) -> list[tuple[str, str]]:
+    """Instance attributes that hide a class method, anywhere an
+    observer can shadow."""
+    owners = [
+        fabric,
+        fabric.gating,
+        fabric.monitor,
+        fabric.monitor.regional,
+        *fabric.nis,
+        *fabric.subnets,
+    ]
+    return [
+        (type(owner).__name__, name)
+        for owner in owners
+        for name in vars(owner)
+        if callable(getattr(type(owner), name, None))
+    ]
+
+
+class TestObserverTable:
+    @pytest.mark.parametrize("row", OBSERVERS, ids=lambda row: row.attr)
+    def test_switch_attaches_its_row(self, monkeypatch, tmp_path, row):
+        _clear_switches(monkeypatch, tmp_path)
+        for off in (None, "0"):
+            if off is not None:
+                monkeypatch.setenv(row.env, off)
+            fabric = MultiNocFabric(gated_config(), seed=5)
+            assert getattr(fabric, row.attr) is None
+            assert _method_shadows(fabric) == []
+            for ni in fabric.nis:
+                assert ni.packet_sink == fabric._on_packet_received
+        monkeypatch.setenv(row.env, "1")
+        fabric = MultiNocFabric(gated_config(), seed=5)
+        observer = getattr(fabric, row.attr)
+        assert isinstance(observer, row.load())
+        assert observer.attached
+        assert vars(fabric)["step"].__self__ is observer
+        for other in OBSERVERS:
+            if other is not row:
+                assert getattr(fabric, other.attr) is None
+
+    def test_stacked_observers_wrap_in_table_order(
+        self, monkeypatch, tmp_path
+    ):
+        _clear_switches(monkeypatch, tmp_path)
+        for row in OBSERVERS:
+            monkeypatch.setenv(row.env, "1")
+        fabric = MultiNocFabric(gated_config(), seed=5)
+        perf, faults, checker, telemetry, explain = (
+            getattr(fabric, row.attr) for row in OBSERVERS
+        )
+        assert vars(fabric)["step"] == explain._explain_step
+        assert explain._orig_step == telemetry._telemetry_step
+        assert telemetry._orig_step == checker._checked_step
+        assert checker._orig_step == faults._fault_step
+        assert faults._orig_step == perf._profiled_step
+        fabric.run(64)
+        assert fabric.cycle == 64 and perf.steps == 64
+        for observer in (explain, telemetry, checker, faults, perf):
+            observer.detach()
+        assert "step" not in vars(fabric)
+        assert "report" not in vars(fabric)
+        assert _method_shadows(fabric) == []
+
+    def test_out_of_order_detach_raises_and_changes_nothing(
+        self, monkeypatch, tmp_path
+    ):
+        _clear_switches(monkeypatch, tmp_path)
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        fabric = MultiNocFabric(gated_config(), seed=5)
+        checker, telemetry = fabric.invariant_checker, fabric.telemetry
+        with pytest.raises(RuntimeError, match="InvariantChecker.*step"):
+            checker.detach()
+        assert checker.attached
+        assert vars(fabric)["step"] == telemetry._telemetry_step
+        assert telemetry._orig_step == checker._checked_step
+        telemetry.detach()
+        checker.detach()
+        assert "step" not in vars(fabric)
+
+    def test_unobserved_fabric_imports_no_observer_package(self):
+        env = {
+            key: value
+            for key, value in os.environ.items()
+            if key not in _SWITCHES
+        }
+        code = (
+            "import sys\n"
+            "from repro.noc.config import NocConfig\n"
+            "from repro.noc.multinoc import MultiNocFabric\n"
+            "MultiNocFabric(NocConfig.mesh_64_core(num_subnets=2))\n"
+            "packages = ('perf', 'faults', 'analysis', 'telemetry', "
+            "'explain')\n"
+            "print(sorted(name for name in sys.modules if "
+            "name.split('.')[:2][-1] in packages and "
+            "name.startswith('repro.')))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"

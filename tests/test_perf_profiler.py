@@ -23,8 +23,6 @@ from repro.perf.profiler import (
     PROFILE_SCHEMA,
     PhaseProfiler,
     cprofile_enabled,
-    maybe_attach,
-    perf_enabled,
 )
 from repro.traffic.generators import SyntheticTrafficSource
 from repro.traffic.patterns import make_pattern
@@ -58,7 +56,6 @@ class TestZeroOverheadWhenDetached:
         monkeypatch.delenv("REPRO_PERF", raising=False)
         fabric = MultiNocFabric(_config(), seed=7)
         assert fabric.perf is None
-        assert not perf_enabled()
         assert "step" not in fabric.__dict__
         assert "report" not in fabric.__dict__
         assert fabric.step.__func__ is MultiNocFabric.step
@@ -66,10 +63,8 @@ class TestZeroOverheadWhenDetached:
         assert "update" not in fabric.monitor.regional.__dict__
 
     def test_maybe_attach_respects_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PERF", raising=False)
-        assert maybe_attach(MultiNocFabric(_config(), seed=7)) is None
         monkeypatch.setenv("REPRO_PERF", "0")
-        assert maybe_attach(MultiNocFabric(_config(), seed=7)) is None
+        assert MultiNocFabric(_config(), seed=7).perf is None
         assert not cprofile_enabled()
 
     def test_detach_restores_everything(self, monkeypatch):

@@ -19,14 +19,9 @@ import pytest
 from tests.conftest import gated_config, small_fabric
 
 from repro.noc.multinoc import MultiNocFabric
-from repro.telemetry import (
-    TelemetryHub,
-    maybe_attach,
-    telemetry_enabled,
-    validate_trace,
-)
+from repro.obs.artifacts import TELEMETRY_SUFFIXES, ArtifactObserver
+from repro.telemetry import TelemetryHub, validate_trace
 from repro.telemetry.__main__ import main as telemetry_main
-from repro.telemetry.observer import TelemetryObserver
 from repro.traffic.generators import (
     BurstyTrafficSource,
     SyntheticTrafficSource,
@@ -121,20 +116,13 @@ class TestZeroOverhead:
         hub.detach()
 
     def test_telemetry_enabled_reads_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        assert not telemetry_enabled()
         monkeypatch.setenv("REPRO_TELEMETRY", "0")
-        assert not telemetry_enabled()
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        assert telemetry_enabled()
+        assert small_fabric().telemetry is None
 
     def test_maybe_attach_respects_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        fabric = small_fabric()
-        assert maybe_attach(fabric) is None
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        hub = maybe_attach(fabric)
-        assert hub is not None and hub.attached
+        hub = small_fabric().telemetry
+        assert isinstance(hub, TelemetryHub) and hub.attached
         hub.detach()
 
 
@@ -361,7 +349,9 @@ class TestTraceExport:
 
 class TestObserver:
     def test_observer_reports_new_artifacts(self, tmp_path, capsys):
-        observer = TelemetryObserver(directory=str(tmp_path))
+        observer = ArtifactObserver(
+            "telemetry", str(tmp_path), TELEMETRY_SUFFIXES
+        )
         (tmp_path / "old.trace.json").write_text("{}")
         observer.sweep_started(1)
         fabric = gated_fabric()
@@ -376,8 +366,8 @@ class TestObserver:
         assert all("old" not in path for path in observer.reported)
 
     def test_observer_survives_missing_directory(self, tmp_path):
-        observer = TelemetryObserver(
-            directory=str(tmp_path / "missing")
+        observer = ArtifactObserver(
+            "telemetry", str(tmp_path / "missing"), TELEMETRY_SUFFIXES
         )
         observer.sweep_started(1)
         observer.point_finished(0, None, [], 0.0, False)
