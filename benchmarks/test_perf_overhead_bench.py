@@ -11,9 +11,10 @@ the same two facts:
    really does restore the fast path).
 
 The attached-profiler run is also timed so the cost of profiling-on
-mode stays visible in the benchmark output (it does strictly more
-work — two clock reads per phase and per bracketed router stage — but
-should stay within a small factor).
+mode stays visible in the benchmark output.  An attached profiler
+shadows only ``report``; its cost is one ``SIGPROF`` handler call per
+sample (a walk up the interrupted frame stack, every few milliseconds
+of CPU time), so it should stay within a small factor.
 """
 
 from __future__ import annotations
@@ -107,8 +108,8 @@ def test_perf_on_cost_is_bounded(monkeypatch):
         return fabric
 
     profiled = min(_timed(profiled_fabric()) for _ in range(2))
-    # Profiling-on pays for its clock reads; keep the cost visible and
-    # bounded (phase brackets + stage brackets should stay under 4x).
+    # Profiling-on pays for its sample handler; keep the cost visible
+    # and bounded.
     assert profiled < plain * 4.0, (
         f"profiled fabric {profiled:.3f}s vs plain {plain:.3f}s"
     )

@@ -967,9 +967,7 @@ def check_slots_discipline(
         mro = list(program.iter_mro(cls.qualname))
         if any(ancestor.slots is None for ancestor in mro):
             continue  # some base carries a __dict__: dynamic attrs legal
-        # ``__class__`` is declared by ``object``: assigning it retypes
-        # the instance (to a layout-compatible class) without growing it.
-        allowed: set[str] = {"__class__"}
+        allowed: set[str] = set()
         for ancestor in mro:
             allowed.update(ancestor.slots or ())
             allowed.update(ancestor.methods)

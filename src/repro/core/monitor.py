@@ -11,7 +11,7 @@ questions Catnap's policies ask every cycle:
 
 Under ``REPRO_PERF=1`` (see ``docs/perf.md``) :meth:`update` is the
 ``monitor_lcs`` phase of the simulator's self-profile, with the
-regional OR-network update timed separately as ``regional_update``.
+regional OR-network update counted separately as ``regional_update``.
 """
 
 from __future__ import annotations

@@ -370,8 +370,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--perf",
         action="store_true",
-        help="run with REPRO_PERF=1: every simulated fabric profiles "
-        "its own step phases and writes *.perf.json under "
+        help="run with REPRO_PERF=1: every simulated fabric samples "
+        "its CPU time by step phase and writes *.perf.json under "
         "results/perf/ (see docs/perf.md)",
     )
     parser.add_argument(

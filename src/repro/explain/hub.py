@@ -110,13 +110,19 @@ _GATING_FIELDS = (
 def parse_explain_spec(spec: str) -> tuple[bool, bool]:
     """Validate an ``--explain`` / ``REPRO_EXPLAIN`` value.
 
-    Returns ``(latency, energy)`` enable flags.  ``"1"`` (and the
-    empty string) enable both; otherwise the value is a comma list of
-    ``latency`` / ``energy``.  Anything else raises ``ValueError`` —
-    the experiments CLI turns that into a parse error (exit 2).
+    Returns ``(latency, energy)`` enable flags.  ``"1"`` enables both;
+    otherwise the value is a comma list of ``latency`` / ``energy``.
+    Anything else, the empty string included, raises ``ValueError`` —
+    the experiments CLI turns that into a parse error (exit 2).  (An
+    empty ``REPRO_EXPLAIN`` reads as off, so an empty spec would
+    otherwise run without attribution.)
     """
     value = spec.strip()
-    if value in ("", "1"):
+    if not value:
+        raise ValueError(
+            "empty attribution spec; expected 'latency', 'energy', or '1'"
+        )
+    if value == "1":
         return True, True
     latency = energy = False
     for part in value.split(","):
@@ -214,7 +220,7 @@ class ExplainHub(ShadowingObserver):
     def from_env(cls, fabric: "MultiNocFabric") -> "ExplainHub":
         """Build a hub configured by ``REPRO_EXPLAIN*`` variables."""
         latency, energy = parse_explain_spec(
-            env.text("REPRO_EXPLAIN", "")
+            env.text("REPRO_EXPLAIN", "1")
         )
         out_dir = env.text("REPRO_EXPLAIN_DIR", DEFAULT_DIR)
         return cls(

@@ -25,12 +25,14 @@ figure-table tests, ``tests/test_backend.py`` and
 
 Backends also respect the per-instance shadowing contract (see
 ``docs/architecture.md``): ``fabric.step`` is looked up every cycle, so
-a shadowed step is always honoured, and when perf, faults, telemetry
-or explain have shadowed it the skip backend never leaps, because those
-layers observe every cycle.  The invariant checker is the one observer
-the leap composes with — its laws hold at every cycle boundary, so a
-leap reports its span through
-:meth:`~repro.analysis.invariants.InvariantChecker.note_steps`.
+a shadowed step is always honoured, and when faults, telemetry or
+explain have shadowed it the skip backend never leaps, because those
+layers observe every cycle.  The invariant checker composes with the
+leap — its laws hold at every cycle boundary, so a leap reports its
+span through
+:meth:`~repro.analysis.invariants.InvariantChecker.note_steps` — and
+the phase profiler samples instead of shadowing ``step``, so it never
+stops a leap.
 
 Backend selection: ``MultiNocFabric(config, backend="dense")``; unset
 means :data:`DEFAULT_BACKEND`.
@@ -130,7 +132,7 @@ class SkipBackend(FabricBackend):
         ``"none"``   — plain class bytecode; the kernel may leap.
         ``"checker"`` — only the invariant checker wraps ``step``; the
         kernel may leap and reports the span to the checker.
-        ``"defer"``  — perf, faults, telemetry or explain (alone or
+        ``"defer"``  — faults, telemetry or explain (alone or
         stacked) observe every cycle; the kernel never leaps.
         """
         fabric = self.fabric

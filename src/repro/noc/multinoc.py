@@ -188,20 +188,31 @@ class MultiNocFabric:
     # Clock
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Advance the whole fabric by one router clock cycle."""
+        """Advance the whole fabric by one router clock cycle.
+
+        The ``# perf:`` comments name the phase each line belongs to;
+        :mod:`repro.perf.profiler` reads them to attribute its samples.
+        """
+        # perf: step_other
         cycle = self.cycle
         subnets = self.subnets
+        # perf: link_delivery
         for network in subnets:
             network.deliver_arrivals(cycle)
+        # perf: monitor_lcs
         self.monitor.update(cycle, subnets, self.nis)
+        # perf: ni_packetization
         for ni in self.nis:
             # An idle NI's only per-cycle work, decaying its rate
             # averages, is applied lazily (NetworkInterface._decay_to).
             if ni.queue or ni._active_slots:
                 ni.step(cycle)
+        # perf: router_pipeline
         for network in subnets:
             network.step_routers(cycle)
+        # perf: gating
         self.gating.step(cycle)
+        # perf: step_other
         self.cycle = cycle + 1
 
     def run(self, cycles: int) -> None:

@@ -103,10 +103,10 @@ class ObserverRow:
         return env.text(self.dir_env or "", module.DEFAULT_DIR)
 
 
-#: Every observer layer, in attach order: perf innermost so the others
-#: wrap the phased step; faults inside the checker and telemetry so
-#: they see post-fault truth; explain outermost so it can merge its
-#: phase spans into the telemetry trace.
+#: Every observer layer, in attach order: perf first (it shadows only
+#: ``report`` and samples the rest); faults inside the checker and
+#: telemetry so they see post-fault truth; explain outermost so it can
+#: merge its phase spans into the telemetry trace.
 OBSERVERS: tuple[ObserverRow, ...] = (
     ObserverRow(
         "perf",

@@ -209,7 +209,12 @@ class Router:
         network's delay line (or ejected to the NI); credits flow back
         to the senders.  At most one flit leaves per input port and per
         output port per cycle (crossbar constraint).
+
+        The ``# perf:`` comments name the pipeline stage each line
+        belongs to; :mod:`repro.perf.profiler` reads them to attribute
+        its samples.
         """
+        # perf: switch_alloc
         occupied = self._occupied
         if not occupied:
             return
@@ -246,15 +251,19 @@ class Router:
             if out_port == Port.LOCAL:
                 # Ejection: no VC allocation needed, bandwidth one
                 # flit/cycle through the local output.
+                # perf: switch_traversal
                 self._eject(in_port, in_vc, flit, cycle)
+                # perf: switch_alloc
                 used_in |= in_bit
                 used_out |= out_bit
                 moved += 1
                 continue
+            # perf: vc_alloc
             if channel.out_port < 0 and not self._allocate_vc(
                 channel, flit, out_port
             ):
                 continue
+            # perf: switch_alloc
             out_vc = channel.out_vc
             if credits[out_port][out_vc] <= 0:
                 continue
@@ -264,10 +273,13 @@ class Router:
                 if downstream is not None:
                     network.request_wakeup(downstream, self.node)
                 continue
+            # perf: switch_traversal
             self._forward(
                 in_port, in_vc, flit, out_port, out_vc, downstream,
+                # perf: route_compute
                 self._lookahead_route(out_port, flit.packet.dst), cycle,
             )
+            # perf: switch_alloc
             used_in |= in_bit
             used_out |= out_bit
             moved += 1
@@ -315,8 +327,7 @@ class Router:
         """Output port the flit will take at the downstream router.
 
         Look-ahead routing (route compute) runs while the flit crosses
-        this switch; :mod:`repro.perf` times it as its own pipeline
-        stage, so it stays a separate method from :meth:`_forward`.
+        this switch.
         """
         table = self._route_table
         if table is not None:

@@ -1,30 +1,22 @@
-"""Simulator self-profiling, throughput metrics, bench regression.
+"""Simulator self-profiling and throughput metrics.
 
 ``repro.perf`` makes the *simulator itself* observable, the way
 ``repro.telemetry`` makes the simulated network observable:
 
-* :mod:`repro.perf.profiler` — a zero-overhead-when-detached phase
-  profiler (``REPRO_PERF=1`` / ``--perf``) that times the router
-  pipeline stages, gating controller, congestion monitor, and NI
-  packetization per step, with an optional cProfile capture
+* :mod:`repro.perf.profiler` — a sampling phase profiler
+  (``REPRO_PERF=1`` / ``--perf``) that attributes this process's CPU
+  time to the fabric step phases and the router pipeline stages,
+  without forcing per-cycle stepping, with an optional cProfile capture
   (``REPRO_PERF_CPROFILE=1``) for flame graphs;
 * :mod:`repro.perf.meters` — always-on simulated-work counters behind
   the cycles/sec and flits/sec figures in the CLI and sweep output;
-* :mod:`repro.perf.bench` — machine-readable ``BENCH_*.json`` records
-  and the ``python -m repro.perf compare`` regression gate.
+* :mod:`repro.perf.bench` — the host fingerprint and git SHA that
+  ``perfbench/run.py`` stamps on its results.
 
 See ``docs/perf.md`` for the environment knobs and workflows, and
 ``docs/telemetry.md`` for the NoC-level counterpart.
 """
 
-from repro.perf.bench import (
-    BENCH_SCHEMA,
-    compare_bench_dirs,
-    load_bench_dir,
-    make_bench_record,
-    validate_bench_record,
-    write_bench_record,
-)
 from repro.perf.meters import WORK, WorkMeter, throughput_suffix
 from repro.perf.profiler import (
     PROFILE_SCHEMA,
@@ -33,16 +25,10 @@ from repro.perf.profiler import (
 )
 
 __all__ = [
-    "BENCH_SCHEMA",
     "PROFILE_SCHEMA",
     "PhaseProfiler",
     "WORK",
     "WorkMeter",
-    "compare_bench_dirs",
     "cprofile_enabled",
-    "load_bench_dir",
-    "make_bench_record",
     "throughput_suffix",
-    "validate_bench_record",
-    "write_bench_record",
 ]

@@ -1,62 +1,18 @@
-"""Benchmark records and the regression comparator.
+"""Provenance for benchmark results: which host, which commit.
 
-Every benchmark run writes a machine-readable ``BENCH_<name>.json``
-next to its rendered ``benchmarks/out/<name>.txt`` table (see
-``benchmarks/conftest.py``).  A record captures the wall time, the
-simulated work behind it (cycles/sec from :mod:`repro.perf.meters`),
-the knobs that shaped the run (``REPRO_BENCH_SCALE``, ``REPRO_JOBS``),
-and enough provenance (host fingerprint, git SHA) to judge whether two
-records are comparable at all.
-
-:func:`compare_bench_dirs` diffs two such directories —
-``python -m repro.perf compare OLD NEW [--threshold PCT]`` — and is
-deliberately forgiving about partial inputs: a benchmark missing from
-the baseline reports as ``new`` (never a crash), one missing from the
-new set reports as ``missing``, records at different scales report as
-``skipped``, and unreadable files are surfaced as notes.  Only a
-confirmed slowdown beyond the threshold makes the exit status nonzero;
-CI runs the comparison as a soft gate (report-only) because shared
-runners are noisy.
+``perfbench/run.py`` stamps every result file with both, so two runs
+can be judged comparable (same host, same Python) before their numbers
+are compared.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
-import re
 import subprocess
-from dataclasses import dataclass, field
 from typing import Any
 
-from repro.util.tables import format_table
-
-__all__ = [
-    "BENCH_SCHEMA",
-    "DEFAULT_THRESHOLD_PCT",
-    "bench_filename",
-    "host_fingerprint",
-    "git_sha",
-    "make_bench_record",
-    "validate_bench_record",
-    "write_bench_record",
-    "load_bench_dir",
-    "BenchComparison",
-    "compare_bench_dirs",
-]
-
-#: Schema tag stamped into every ``BENCH_*.json`` record.
-BENCH_SCHEMA = "repro.perf.bench/1"
-
-_BENCH_RE = re.compile(r"^BENCH_(?P<name>.+)\.json$")
-
-#: Default regression threshold for the compare CLI, in percent.
-DEFAULT_THRESHOLD_PCT = 25.0
-
-
-def bench_filename(name: str) -> str:
-    """``BENCH_<name>.json`` for a benchmark called ``name``."""
-    return f"BENCH_{name}.json"
+__all__ = ["git_sha", "host_fingerprint"]
 
 
 def host_fingerprint() -> dict[str, Any]:
@@ -83,198 +39,3 @@ def git_sha(repo_dir: str | None = None) -> str | None:
         return None
     sha = out.stdout.strip()
     return sha if out.returncode == 0 and sha else None
-
-
-def make_bench_record(
-    name: str,
-    wall_seconds: float,
-    scale: float,
-    jobs: int,
-    sim_cycles: int = 0,
-    sim_flits: int = 0,
-    repo_dir: str | None = None,
-) -> dict[str, Any]:
-    """Schema-complete record for one benchmark run."""
-    return {
-        "schema": BENCH_SCHEMA,
-        "name": name,
-        "wall_seconds": wall_seconds,
-        "scale": scale,
-        "jobs": jobs,
-        "sim_cycles": sim_cycles,
-        "sim_flits": sim_flits,
-        "cycles_per_sec": (
-            sim_cycles / wall_seconds
-            if sim_cycles > 0 and wall_seconds > 0
-            else None
-        ),
-        "host": host_fingerprint(),
-        "git_sha": git_sha(repo_dir),
-    }
-
-
-_REQUIRED_FIELDS: dict[str, type | tuple[type, ...]] = {
-    "schema": str,
-    "name": str,
-    "wall_seconds": (int, float),
-    "scale": (int, float),
-    "jobs": int,
-    "sim_cycles": int,
-    "sim_flits": int,
-    "host": dict,
-}
-
-
-def validate_bench_record(doc: object) -> list[str]:
-    """Schema problems of one record; empty list when it is valid."""
-    if not isinstance(doc, dict):
-        return ["record is not a JSON object"]
-    errors: list[str] = []
-    for key, types in _REQUIRED_FIELDS.items():
-        if key not in doc:
-            errors.append(f"missing field {key!r}")
-        elif not isinstance(doc[key], types) or isinstance(
-            doc[key], bool
-        ):
-            errors.append(f"field {key!r} has wrong type")
-    if isinstance(doc.get("schema"), str) and doc["schema"] != BENCH_SCHEMA:
-        errors.append(
-            f"schema is {doc['schema']!r}, expected {BENCH_SCHEMA!r}"
-        )
-    if (
-        isinstance(doc.get("wall_seconds"), (int, float))
-        and doc["wall_seconds"] <= 0
-    ):
-        errors.append("wall_seconds must be positive")
-    return errors
-
-
-def write_bench_record(directory: str, record: dict[str, Any]) -> str:
-    """Persist ``record`` as ``BENCH_<name>.json``; return the path."""
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, bench_filename(record["name"]))
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_bench_dir(directory: str) -> tuple[dict[str, dict], list[str]]:
-    """All valid ``BENCH_*.json`` records under ``directory``.
-
-    Returns ``(records_by_name, notes)``.  A missing directory yields
-    no records and one note; unreadable or schema-invalid files are
-    skipped with a note each — partial baselines are expected (new
-    benchmarks land before their baseline does) and must never crash
-    the comparison.
-    """
-    records: dict[str, dict] = {}
-    notes: list[str] = []
-    try:
-        names = sorted(os.listdir(directory))
-    except OSError:
-        return records, [f"{directory}: not a readable directory"]
-    for filename in names:
-        match = _BENCH_RE.match(filename)
-        if not match:
-            continue
-        path = os.path.join(directory, filename)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except (OSError, ValueError) as exc:
-            notes.append(f"{path}: unreadable ({exc})")
-            continue
-        errors = validate_bench_record(doc)
-        if errors:
-            notes.append(f"{path}: invalid ({errors[0]})")
-            continue
-        records[match.group("name")] = doc
-    return records, notes
-
-
-@dataclass
-class BenchComparison:
-    """Outcome of diffing two benchmark directories."""
-
-    rows: list[dict] = field(default_factory=list)
-    regressions: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    threshold_pct: float = DEFAULT_THRESHOLD_PCT
-
-    @property
-    def exit_code(self) -> int:
-        """1 when any benchmark regressed beyond the threshold."""
-        return 1 if self.regressions else 0
-
-    def render(self) -> str:
-        """ASCII report: comparison table plus any notes."""
-        parts: list[str] = []
-        if self.rows:
-            parts.append(
-                format_table(
-                    self.rows,
-                    ["benchmark", "old_s", "new_s", "delta_pct", "status"],
-                    title=(
-                        f"bench comparison "
-                        f"(threshold {self.threshold_pct:g}%)"
-                    ),
-                )
-            )
-        else:
-            parts.append("bench comparison: no benchmarks found")
-        for note in self.notes:
-            parts.append(f"note: {note}")
-        if self.regressions:
-            parts.append(
-                "REGRESSED: " + ", ".join(sorted(self.regressions))
-            )
-        return "\n".join(parts)
-
-
-def compare_bench_dirs(
-    old_dir: str,
-    new_dir: str,
-    threshold_pct: float = DEFAULT_THRESHOLD_PCT,
-) -> BenchComparison:
-    """Diff two bench directories; see the module docstring for rules."""
-    old_records, old_notes = load_bench_dir(old_dir)
-    new_records, new_notes = load_bench_dir(new_dir)
-    comparison = BenchComparison(
-        notes=old_notes + new_notes, threshold_pct=threshold_pct
-    )
-    for name in sorted(set(old_records) | set(new_records)):
-        old = old_records.get(name)
-        new = new_records.get(name)
-        row = {
-            "benchmark": name,
-            "old_s": old["wall_seconds"] if old else "",
-            "new_s": new["wall_seconds"] if new else "",
-            "delta_pct": "",
-            "status": "",
-        }
-        if old is None:
-            row["status"] = "new"
-        elif new is None:
-            row["status"] = "missing"
-        elif old["scale"] != new["scale"]:
-            row["status"] = "skipped"
-            comparison.notes.append(
-                f"{name}: scale mismatch "
-                f"(old {old['scale']:g}, new {new['scale']:g}) "
-                f"— not comparable"
-            )
-        else:
-            delta_pct = 100.0 * (
-                new["wall_seconds"] - old["wall_seconds"]
-            ) / old["wall_seconds"]
-            row["delta_pct"] = f"{delta_pct:+.1f}"
-            if delta_pct > threshold_pct:
-                row["status"] = "regressed"
-                comparison.regressions.append(name)
-            elif delta_pct < -threshold_pct:
-                row["status"] = "improved"
-            else:
-                row["status"] = "ok"
-        comparison.rows.append(row)
-    return comparison

@@ -13,8 +13,9 @@ the fast path is untouched):
   (the bursty time-series executor).
 
 Two process-global meters exist.  :data:`WORK` accumulates for the
-lifetime of the process; the benchmark harness reads it to stamp
-``BENCH_*.json`` records with cycles/sec.  A private per-point meter is
+lifetime of the process, including work shipped back from sweep pool
+workers, so a caller can difference two snapshots to rate any span of
+work.  A private per-point meter is
 drained by the sweep runner around each executed point so pool workers
 can ship their work deltas back to the parent, which folds them into
 :data:`WORK` and into the sweep's :class:`SweepStats`.
@@ -69,7 +70,7 @@ class WorkMeter:
         return held
 
 
-#: Process-lifetime work total (read by the benchmark harness).
+#: Process-lifetime work total, pool workers' points included.
 WORK = WorkMeter()
 
 #: Per-point collector drained by the sweep runner around each

@@ -1,60 +1,60 @@
-"""The phase profiler: where does the simulator's wall-clock go?
+"""The phase profiler: where does the simulator's CPU time go?
 
-``PhaseProfiler`` observes one :class:`~repro.noc.multinoc.MultiNocFabric`
-by *shadowing* instance methods through
-:class:`repro.noc.observers.ShadowingObserver`:
+``PhaseProfiler`` samples.  While any profiler is attached, a
+process-wide ``ITIMER_PROF`` interval timer raises ``SIGPROF`` every
+:data:`SAMPLE_INTERVAL_S` of this process's CPU time, and one handler
+walks the interrupted frame stack.  A sample whose stack holds a
+:meth:`MultiNocFabric.step` frame is credited to the profiler attached
+to that frame's ``self``:
 
-* ``fabric.step`` — replaced by a phase-bracketed mirror of the step
-  loop that times link delivery, the congestion monitor, NI
-  packetization, the router pipeline, and the gating controller with
-  ``time.perf_counter_ns``;
-* ``fabric.report`` — autoflushes a ``*.perf.json`` profile artifact
-  next to the report when the profiler was attached via the
-  environment;
-* ``monitor.regional.update`` — timed separately so the RCS OR-network
-  cost is split out of the monitor phase.
+* to a *step phase* by the line of ``MultiNocFabric.step`` being run
+  (link delivery, congestion monitor, NI packetization, router
+  pipeline, gating), with ``regional_update`` split out of the monitor
+  when ``RegionalCongestionNetwork.update`` is on the stack;
+* inside the router pipeline, to a *router stage* by the line of
+  ``Router.step`` being run (switch allocation, VC allocation, route
+  compute, switch traversal).
 
-The router pipeline slice is further split into the paper's four
-stages (route compute, VC alloc, switch alloc, switch traversal).
-``Router`` declares ``__slots__`` so it cannot be shadowed per
-instance; instead attach swaps every router's ``__class__`` to the
-stage-timed subclass :func:`repro.perf.phases.stage_timed_router`
-builds for this profiler, and detach swaps it back.
+Both line maps are built once from ``# perf: <name>`` marker comments
+in those two functions (:func:`marker_table`), so a stage boundary is a
+comment, not a call boundary.  A marker line starts its stage, which
+runs to the next marker.
 
-Because shadowing only touches *instances*, a fabric without a
-profiler executes the original unhooked class methods: profiling-off
-runs take the identical code path as a build without this package.
-Profiling *on* has a deliberate observer cost (two clock reads per
-phase and per bracketed stage event) — it buys a per-phase breakdown;
-use the throughput meters (:mod:`repro.perf.meters`) when only
-aggregate rates are needed.
+The profiler shadows only ``fabric.report``, where it flushes the
+``*.perf.json`` artifact, so a profiled fabric runs the plain class
+``step`` and the default kernel leaps over quiescent spans exactly as
+an unprofiled one does.  The handler reads frames and never touches
+simulation state, so results are byte-identical with or without it.
 
-Enable with ``REPRO_PERF=1``; artifacts go
-to ``REPRO_PERF_DIR`` (default ``results/perf``).  Setting
-``REPRO_PERF_CPROFILE=1`` additionally captures a deterministic
-``cProfile`` of every step and flushes a ``.pstats`` dump plus a
-caller;callee collapsed-stack text file ready for flame-graph tools
-(see ``docs/perf.md``).
+Counts are statistical: each phase holds the samples that landed in
+it.  The artifact states the *measured* resolution — profiled CPU
+seconds over samples taken — because the kernel's tick can stretch the
+requested interval (about 4 ms on a 250 Hz kernel).
+
+Enable with ``REPRO_PERF=1``; artifacts go to ``REPRO_PERF_DIR``
+(default ``results/perf``).  ``REPRO_PERF_CPROFILE=1`` additionally
+runs a deterministic ``cProfile`` from attach to the flush on
+``report`` and writes a ``.pstats`` dump plus a caller;callee
+collapsed-stack text file for flame-graph tools (``docs/perf.md``).
 """
 
 from __future__ import annotations
 
+import atexit
+import inspect
 import json
 import os
-from time import perf_counter_ns
-from typing import TYPE_CHECKING, Any, Callable
+import re
+import signal
+import weakref
+from functools import cache
+from time import process_time
+from types import CodeType, FrameType
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from repro.noc.observers import ShadowingObserver
-from repro.noc.router import Router
-from repro.perf.phases import (
-    ROUTER_STAGES,
-    STEP_PHASES,
-    StageClock,
-    stage_timed_router,
-)
 from repro.util import env
-from repro.util.ascii_plot import bar_chart
-from repro.util.histogram import BoundedHistogram
+from repro.util.tables import format_table
 
 if TYPE_CHECKING:
     import cProfile
@@ -64,25 +64,51 @@ if TYPE_CHECKING:
 __all__ = [
     "PROFILE_SCHEMA",
     "DEFAULT_DIR",
+    "SAMPLE_INTERVAL_S",
+    "STEP_PHASES",
+    "ROUTER_STAGES",
     "PhaseProfiler",
+    "attribute",
     "cprofile_enabled",
+    "marker_table",
+    "render_profile",
 ]
 
 #: Schema tag stamped into every ``*.perf.json`` artifact.
-PROFILE_SCHEMA = "repro.perf.profile/1"
+PROFILE_SCHEMA = "repro.perf.profile/2"
 
 #: Default artifact directory (override with ``REPRO_PERF_DIR``).
 DEFAULT_DIR = os.path.join("results", "perf")
 
-#: Coarse phases sampled per step into bounded histograms.
-_HISTOGRAM_PHASES = (
+#: Requested CPU time between samples; the kernel tick may stretch it.
+SAMPLE_INTERVAL_S = 0.001
+
+#: Slices of one ``MultiNocFabric.step`` call, in execution order.
+#: ``step_other`` is the cycle bookkeeping around the named phases.
+STEP_PHASES = (
     "link_delivery",
-    "monitor",
+    "monitor_lcs",
+    "regional_update",
     "ni_packetization",
     "router_pipeline",
     "gating",
-    "step",
+    "step_other",
 )
+
+#: Stages of the router pipeline slice.  ``switch_alloc`` is the scan
+#: loop itself (winner arbitration over (port, VC) pairs) plus the
+#: per-subnet loop around ``Router.step``.
+ROUTER_STAGES = (
+    "switch_alloc",
+    "vc_alloc",
+    "route_compute",
+    "switch_traversal",
+)
+
+#: The phase credited by stack membership rather than by a marker.
+_REGIONAL = "regional_update"
+
+_MARKER = re.compile(r"^\s*#\s*perf:\s*(\S+)\s*$")
 
 
 def cprofile_enabled() -> bool:
@@ -90,8 +116,178 @@ def cprofile_enabled() -> bool:
     return env.flag("REPRO_PERF_CPROFILE")
 
 
+def marker_table(
+    func: Callable[..., Any], names: tuple[str, ...]
+) -> dict[int, str]:
+    """Line number -> name for every source line of ``func``.
+
+    A ``# perf: NAME`` line starts NAME, which runs to the next marker;
+    the first marker also covers the signature and docstring above it.
+    Raises ``ValueError`` when a marker names something outside
+    ``names`` or when one of ``names`` is never marked.
+    """
+    lines, first = inspect.getsourcelines(func)
+    marks: dict[int, str] = {}
+    for offset, text in enumerate(lines):
+        match = _MARKER.match(text)
+        if match:
+            marks[first + offset] = match.group(1)
+    where = f"{func.__qualname__} ({inspect.getsourcefile(func)})"
+    unknown = sorted(set(marks.values()) - set(names))
+    if unknown:
+        raise ValueError(f"unknown perf marker(s) {unknown} in {where}")
+    missing = [name for name in names if name not in marks.values()]
+    if missing:
+        raise ValueError(f"missing perf marker(s) {missing} in {where}")
+    current = next(iter(marks.values()))
+    table: dict[int, str] = {}
+    for lineno in range(first, first + len(lines)):
+        current = marks.get(lineno, current)
+        table[lineno] = current
+    return table
+
+
+class StageTable(NamedTuple):
+    """Code objects the sampler looks for and their line maps."""
+
+    step_code: CodeType
+    phase_of_line: dict[int, str]
+    router_code: CodeType
+    stage_of_line: dict[int, str]
+    regional_code: CodeType
+
+
+@cache
+def stage_table() -> StageTable:
+    """The marker tables of ``MultiNocFabric.step`` and ``Router.step``."""
+    from repro.core.regional import RegionalCongestionNetwork
+    from repro.noc.multinoc import MultiNocFabric
+    from repro.noc.router import Router
+
+    marked = tuple(name for name in STEP_PHASES if name != _REGIONAL)
+    return StageTable(
+        MultiNocFabric.step.__code__,
+        marker_table(MultiNocFabric.step, marked),
+        Router.step.__code__,
+        marker_table(Router.step, ROUTER_STAGES),
+        RegionalCongestionNetwork.update.__code__,
+    )
+
+
+def attribute(
+    frame: FrameType | None,
+) -> tuple[Any, str, str | None] | None:
+    """``(fabric, phase, stage)`` for a sample taken at ``frame``.
+
+    ``fabric`` is ``self`` of the innermost ``MultiNocFabric.step``
+    frame on the stack; ``None`` is returned when there is none.
+    ``stage`` is set for the ``router_pipeline`` phase only; pipeline
+    samples outside ``Router.step`` count as ``switch_alloc``.
+    """
+    table = stage_table()
+    router_line: int | None = None
+    regional = False
+    while frame is not None:
+        code = frame.f_code
+        if code is table.step_code:
+            phase = table.phase_of_line.get(frame.f_lineno, "step_other")
+            if regional:
+                phase = _REGIONAL
+            stage = None
+            if phase == "router_pipeline":
+                stage = "switch_alloc"
+                if router_line is not None:
+                    stage = table.stage_of_line.get(router_line, stage)
+            return frame.f_locals.get("self"), phase, stage
+        if code is table.router_code:
+            if router_line is None:
+                router_line = frame.f_lineno
+        elif code is table.regional_code:
+            regional = True
+        frame = frame.f_back
+    return None
+
+
+def render_profile(doc: dict[str, Any]) -> str:
+    """Terminal rendering of a profile document (``python -m repro.perf
+    show`` and :meth:`PhaseProfiler.ascii_summary`)."""
+    throughput = doc.get("throughput", {})
+    lines = [
+        f"{doc.get('config')} seed={doc.get('seed')} "
+        f"cycles={doc.get('cycles_profiled')} "
+        f"cpu={doc.get('cpu_seconds', 0.0):.3f}s "
+        f"samples={doc.get('samples')} "
+        f"({1e3 * doc.get('resolution_s', 0.0):.2f} ms each; "
+        f"{throughput.get('cycles_per_sec', 0.0):,.0f} cycles/s, "
+        f"{throughput.get('flits_per_sec', 0.0):,.0f} flits/s)"
+    ]
+    for key, rows, share, column in (
+        ("phase", doc.get("phases", {}), "share", "share_pct"),
+        ("stage", doc.get("router_stages", {}), "share_of_pipeline",
+         "pipeline_pct"),
+    ):
+        if rows:
+            table = [
+                {
+                    key: name,
+                    "samples": entry.get("samples", 0),
+                    column: 100.0 * entry.get(share, 0.0),
+                }
+                for name, entry in rows.items()
+            ]
+            lines.append(format_table(table, [key, "samples", column]))
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# The process-wide sampler
+# ----------------------------------------------------------------------
+#: Attached profilers by ``id`` of their fabric.  Weak, because sweeps
+#: and tests attach profilers and never detach them.
+_LIVE: "weakref.WeakValueDictionary[int, PhaseProfiler]" = (
+    weakref.WeakValueDictionary()
+)
+#: SIGPROF samples this process has taken.
+_samples_taken = 0
+
+
+def _on_sample(signum: int, frame: FrameType | None) -> None:
+    global _samples_taken
+    _samples_taken += 1
+    if not _LIVE:
+        # Every attached profiler has been collected.
+        _disarm()
+        return
+    hit = attribute(frame)
+    if hit is None:
+        return
+    fabric, phase, stage = hit
+    profiler = _LIVE.get(id(fabric))
+    if profiler is not None:
+        profiler.phase_samples[phase] += 1
+        if stage is not None:
+            profiler.stage_samples[stage] += 1
+
+
+def _disarm() -> None:
+    signal.setitimer(signal.ITIMER_PROF, 0.0)
+
+
+def _arm() -> None:
+    """Install the one handler and start the timer unless running."""
+    if signal.getsignal(signal.SIGPROF) is not _on_sample:
+        signal.signal(signal.SIGPROF, _on_sample)
+        # Interpreter shutdown restores the default action, which
+        # terminates the process, so the timer must stop first.
+        atexit.register(_disarm)
+    if not signal.getitimer(signal.ITIMER_PROF)[1]:
+        signal.setitimer(
+            signal.ITIMER_PROF, SAMPLE_INTERVAL_S, SAMPLE_INTERVAL_S
+        )
+
+
 class PhaseProfiler(ShadowingObserver):
-    """Per-phase wall-clock accounting for one fabric instance."""
+    """Sampled CPU-time accounting for one fabric instance."""
 
     def __init__(
         self,
@@ -101,29 +297,12 @@ class PhaseProfiler(ShadowingObserver):
     ) -> None:
         super().__init__(fabric)
         self.out_dir = out_dir
-        self.steps = 0
-        # Nanosecond accumulators for the top-level step slices.
-        self._ns_link = 0
-        self._ns_monitor = 0
-        self._ns_regional = 0
-        self._ns_ni = 0
-        self._ns_router = 0
-        self._ns_gating = 0
-        self._ns_step = 0
-        self._clock = StageClock()
-        self.step_histograms = {
-            name: BoundedHistogram() for name in _HISTOGRAM_PHASES
-        }
-        self._flits_at_attach = self._flits_routed_now()
         self._cprofile: "cProfile.Profile | None" = None
         if capture_cprofile:
             import cProfile as _cprofile
 
             self._cprofile = _cprofile.Profile()
 
-    # ------------------------------------------------------------------
-    # Construction from the environment
-    # ------------------------------------------------------------------
     @classmethod
     def from_env(cls, fabric: "MultiNocFabric") -> "PhaseProfiler":
         """Build a profiler configured by ``REPRO_PERF_*`` variables."""
@@ -135,84 +314,41 @@ class PhaseProfiler(ShadowingObserver):
         )
 
     # ------------------------------------------------------------------
-    # Attach / detach (per-instance shadowing)
+    # Attach / detach
     # ------------------------------------------------------------------
     def attach(self) -> "PhaseProfiler":
-        """Install the step/report/regional probes; returns ``self``."""
+        """Shadow ``report`` and open a sampling window; returns ``self``."""
         if self.attached:
             return self
+        stage_table()  # build (and check) the marker tables up front
         fabric = self.fabric
-        regional = fabric.monitor.regional
+        self.phase_samples = dict.fromkeys(STEP_PHASES, 0)
+        self.stage_samples = dict.fromkeys(ROUTER_STAGES, 0)
+        self._cycle_at_attach = fabric.cycle
+        self._flits_at_attach = self._flits_routed_now()
+        # (samples taken, CPU seconds) at attach, and at detach.
+        self._opened = (_samples_taken, process_time())
+        self._closed: tuple[int, float] | None = None
         self._orig_report: Callable[[], "FabricReport"] = fabric.report
-        self._orig_regional_update = regional.update
-        self._shadow(fabric, "step", self._profiled_step)
         self._shadow(fabric, "report", self._profiled_report)
-        self._shadow(regional, "update", self._timed_regional_update)
-        timed = stage_timed_router(self._clock)
-        for network in fabric.subnets:
-            for router in network.routers:
-                router.__class__ = timed
+        _LIVE[id(fabric)] = self
+        _arm()
+        if self._cprofile is not None:
+            self._cprofile.enable()
         self.attached = True
         return self
 
     def detach(self) -> None:
-        """Remove every probe and give the routers back ``Router``."""
+        """Restore ``report``; stop the timer if no profiler is left."""
         if not self.attached:
             return
         super().detach()
-        for network in self.fabric.subnets:
-            for router in network.routers:
-                router.__class__ = Router
-
-    # ------------------------------------------------------------------
-    # Shadowed methods
-    # ------------------------------------------------------------------
-    def _profiled_step(self) -> None:
-        """Phase-bracketed mirror of :meth:`MultiNocFabric.step`.
-
-        Identical call order and state mutation as the plain step (the
-        equivalence test in ``tests/test_perf_profiler.py`` holds this
-        to byte-identical fabric reports); the only additions are clock
-        reads at the phase boundaries.
-        """
-        fabric = self.fabric
-        prof = self._cprofile
-        if prof is not None:
-            prof.enable()
-        t_begin = perf_counter_ns()
-        cycle = fabric.cycle
-        subnets = fabric.subnets
-        for network in subnets:
-            network.deliver_arrivals(cycle)
-        t1 = perf_counter_ns()
-        fabric.monitor.update(cycle, subnets, fabric.nis)
-        t2 = perf_counter_ns()
-        for ni in fabric.nis:
-            if ni.queue or ni._active_slots:
-                ni.step(cycle)
-        t3 = perf_counter_ns()
-        for network in subnets:
-            network.step_routers(cycle)
-        t4 = perf_counter_ns()
-        fabric.gating.step(cycle)
-        t5 = perf_counter_ns()
-        fabric.cycle = cycle + 1
-        if prof is not None:
-            prof.disable()
-        self._ns_link += t1 - t_begin
-        self._ns_monitor += t2 - t1
-        self._ns_ni += t3 - t2
-        self._ns_router += t4 - t3
-        self._ns_gating += t5 - t4
-        self._ns_step += t5 - t_begin
-        self.steps += 1
-        hists = self.step_histograms
-        hists["link_delivery"].record(t1 - t_begin)
-        hists["monitor"].record(t2 - t1)
-        hists["ni_packetization"].record(t3 - t2)
-        hists["router_pipeline"].record(t4 - t3)
-        hists["gating"].record(t5 - t4)
-        hists["step"].record(t5 - t_begin)
+        self._closed = (_samples_taken, process_time())
+        _LIVE.pop(id(self.fabric), None)
+        if self._cprofile is not None:
+            self._cprofile.disable()
+        if not _LIVE:
+            _disarm()
 
     def _profiled_report(self) -> "FabricReport":
         report = self._orig_report()
@@ -220,15 +356,8 @@ class PhaseProfiler(ShadowingObserver):
             self.flush()
         return report
 
-    def _timed_regional_update(
-        self, cycle: int, lcs: list[list[bool]]
-    ) -> None:
-        t0 = perf_counter_ns()
-        self._orig_regional_update(cycle, lcs)
-        self._ns_regional += perf_counter_ns() - t0
-
     # ------------------------------------------------------------------
-    # Derived breakdowns
+    # Derived figures
     # ------------------------------------------------------------------
     def _flits_routed_now(self) -> int:
         return sum(
@@ -236,61 +365,45 @@ class PhaseProfiler(ShadowingObserver):
             for network in self.fabric.subnets
         )
 
-    def phase_seconds(self) -> dict[str, float]:
-        """Seconds per top-level phase; keys are :data:`STEP_PHASES`.
-
-        The phases partition the measured step time: ``monitor_lcs``
-        excludes the separately timed regional update, ``step_other``
-        is the unbracketed residual (loop glue, clock overhead), and
-        every value is clamped non-negative, so the sum never exceeds
-        the whole-step measurement.
-        """
-        link = self._ns_link
-        regional = min(self._ns_regional, self._ns_monitor)
-        monitor_lcs = self._ns_monitor - regional
-        ni = self._ns_ni
-        router = self._ns_router
-        gating = self._ns_gating
-        bracketed = link + self._ns_monitor + ni + router + gating
-        other = max(0, self._ns_step - bracketed)
-        values = {
-            "link_delivery": link,
-            "monitor_lcs": monitor_lcs,
-            "regional_update": regional,
-            "ni_packetization": ni,
-            "router_pipeline": router,
-            "gating": gating,
-            "step_other": other,
-        }
-        return {name: values[name] / 1e9 for name in STEP_PHASES}
-
-    def router_stage_seconds(self) -> dict[str, float]:
-        """Seconds per router pipeline stage (:data:`ROUTER_STAGES`).
-
-        ``switch_alloc`` is the scan/arbitration residual of the
-        pipeline slice around the three bracketed stages.
-        """
-        clock = self._clock
-        alloc = max(0, self._ns_router - clock.bracketed_total())
-        values = {
-            "switch_alloc": alloc,
-            "vc_alloc": clock.vc_alloc,
-            "route_compute": clock.route_compute,
-            "switch_traversal": clock.switch_traversal,
-        }
-        return {name: values[name] / 1e9 for name in ROUTER_STAGES}
+    def _window(self) -> tuple[int, float]:
+        """``(samples, CPU seconds)`` this process spent while attached."""
+        samples, cpu = self._closed or (_samples_taken, process_time())
+        return samples - self._opened[0], cpu - self._opened[1]
 
     @property
-    def step_seconds(self) -> float:
-        """Wall-clock spent inside profiled fabric steps."""
-        return self._ns_step / 1e9
+    def samples(self) -> int:
+        """Samples this process took while the profiler was attached."""
+        return self._window()[0]
+
+    @property
+    def cpu_seconds(self) -> float:
+        """Process CPU seconds while the profiler was attached."""
+        return self._window()[1]
+
+    @property
+    def resolution_s(self) -> float:
+        """Measured CPU seconds per sample (0.0 before the first)."""
+        samples, cpu = self._window()
+        return cpu / samples if samples else 0.0
+
+    @property
+    def step_samples(self) -> int:
+        """Samples credited to this fabric's step; the phases sum to it."""
+        return sum(self.phase_samples.values())
+
+    @property
+    def cycles_profiled(self) -> int:
+        """Simulated cycles since attach, leaps included."""
+        return self.fabric.cycle - self._cycle_at_attach
 
     def throughput(self) -> dict[str, float]:
-        """Simulated cycles/sec and flits-routed/sec while profiled."""
-        seconds = self.step_seconds
+        """Simulated cycles and routed flits per profiled CPU second."""
+        seconds = self.cpu_seconds
         flits = self._flits_routed_now() - self._flits_at_attach
         return {
-            "cycles_per_sec": self.steps / seconds if seconds else 0.0,
+            "cycles_per_sec": (
+                self.cycles_profiled / seconds if seconds else 0.0
+            ),
             "flits_per_sec": flits / seconds if seconds else 0.0,
             "flits_routed": float(flits),
         }
@@ -299,73 +412,47 @@ class PhaseProfiler(ShadowingObserver):
     # Documents
     # ------------------------------------------------------------------
     def profile(self) -> dict[str, Any]:
-        """JSON-safe profile document for this fabric so far."""
+        """JSON-safe profile document for this fabric so far.
+
+        Phase shares are of every sample taken while attached, so the
+        remainder is time outside this fabric's step (traffic source,
+        leaps, report); stage shares are of the router pipeline.
+        """
         fabric = self.fabric
-        step_seconds = self.step_seconds
-        phases = self.phase_seconds()
-        stages = self.router_stage_seconds()
-        pipeline = phases["router_pipeline"]
+        samples, cpu = self._window()
+        pipeline = self.phase_samples["router_pipeline"]
         return {
             "schema": PROFILE_SCHEMA,
             "config": fabric.config.name,
             "seed": fabric.seed,
             "cycles": fabric.cycle,
-            "steps_profiled": self.steps,
-            "step_seconds": step_seconds,
+            "cycles_profiled": self.cycles_profiled,
+            "cpu_seconds": cpu,
+            "samples": samples,
+            "step_samples": self.step_samples,
+            "resolution_s": self.resolution_s,
             "phases": {
                 name: {
-                    "seconds": seconds,
-                    "share": seconds / step_seconds if step_seconds else 0.0,
+                    "samples": count,
+                    "share": count / samples if samples else 0.0,
                 }
-                for name, seconds in phases.items()
+                for name, count in self.phase_samples.items()
             },
             "router_stages": {
                 name: {
-                    "seconds": seconds,
+                    "samples": count,
                     "share_of_pipeline": (
-                        seconds / pipeline if pipeline else 0.0
+                        count / pipeline if pipeline else 0.0
                     ),
                 }
-                for name, seconds in stages.items()
+                for name, count in self.stage_samples.items()
             },
             "throughput": self.throughput(),
-            "step_histograms_ns": {
-                name: hist.to_dict()
-                for name, hist in self.step_histograms.items()
-            },
         }
 
     def ascii_summary(self) -> str:
         """Human-readable phase breakdown for terminals and artifacts."""
-        fabric = self.fabric
-        step_seconds = self.step_seconds
-        throughput = self.throughput()
-        lines = [
-            f"perf: {fabric.config.name} seed={fabric.seed} "
-            f"steps={self.steps} step_wall={step_seconds:.3f}s "
-            f"({throughput['cycles_per_sec']:,.0f} cycles/s, "
-            f"{throughput['flits_per_sec']:,.0f} flits/s)",
-        ]
-        phases = self.phase_seconds()
-        if step_seconds:
-            lines.append(
-                bar_chart(
-                    list(phases),
-                    [seconds / step_seconds for seconds in phases.values()],
-                    title="step time by phase:",
-                )
-            )
-            stages = self.router_stage_seconds()
-            pipeline = phases["router_pipeline"]
-            if pipeline:
-                lines.append(
-                    bar_chart(
-                        list(stages),
-                        [s / pipeline for s in stages.values()],
-                        title="router pipeline by stage:",
-                    )
-                )
-        return "\n".join(lines)
+        return render_profile(self.profile())
 
     # ------------------------------------------------------------------
     # Serialization
@@ -404,8 +491,9 @@ class PhaseProfiler(ShadowingObserver):
     def flush(self) -> dict[str, str]:
         """Write the profile artifacts; return their paths.
 
-        Files share the :func:`repro.obs.artifacts.artifact_stem`
-        naming of every observer's artifacts.
+        Ends the cProfile capture, if any.  Files share the
+        :func:`repro.obs.artifacts.artifact_stem` naming of every
+        observer's artifacts.
         """
         from repro.obs.artifacts import artifact_stem
 
@@ -415,6 +503,7 @@ class PhaseProfiler(ShadowingObserver):
         with open(paths["profile"], "w", encoding="utf-8") as handle:
             json.dump(self.profile(), handle, separators=(",", ":"))
         if self._cprofile is not None:
+            self._cprofile.disable()
             paths["pstats"] = f"{stem}.pstats"
             self._cprofile.dump_stats(paths["pstats"])
             paths["folded"] = f"{stem}.folded.txt"

@@ -300,7 +300,9 @@ class TelemetryHub(ShadowingObserver):
             return
         self.packet_records.append(
             {
-                "id": packet.packet_id,
+                # Hub-relative, in record order: the process-global
+                # packet_id depends on what the process ran before.
+                "id": len(self.packet_records),
                 "src": packet.src,
                 "dst": packet.dst,
                 "subnet": packet.subnet,

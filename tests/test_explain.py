@@ -98,7 +98,12 @@ def attributed_run(seed: int = 9, backend=None) -> MultiNocFabric:
 class TestSpecParsing:
     def test_default_specs_enable_both(self):
         assert parse_explain_spec("1") == (True, True)
-        assert parse_explain_spec("") == (True, True)
+
+    def test_empty_spec_raises(self):
+        # An empty REPRO_EXPLAIN reads as off, so "" must not validate.
+        for spec in ("", "  "):
+            with pytest.raises(ValueError, match="empty"):
+                parse_explain_spec(spec)
 
     def test_component_specs(self):
         assert parse_explain_spec("latency") == (True, False)

@@ -1,189 +1,22 @@
-"""Tests for benchmark records and the regression comparator.
+"""Tests for the benchmark provenance helpers (repro.perf.bench).
 
-The compare CLI is CI's soft regression gate, so its failure modes are
-the interesting part: a synthetic 2x slowdown must be detected (exit
-1), while missing baselines, benchmarks absent from either side, scale
-mismatches, and corrupt files must degrade to reported notes — never a
-crash, never a false failure.
+``perfbench/run.py`` stamps every result with the host fingerprint and
+the git SHA, so both must stay importable and well-formed.
 """
 
 from __future__ import annotations
 
-import json
+import platform
 
-from repro.perf.bench import (
-    BENCH_SCHEMA,
-    bench_filename,
-    compare_bench_dirs,
-    host_fingerprint,
-    load_bench_dir,
-    make_bench_record,
-    validate_bench_record,
-    write_bench_record,
-)
+from repro.perf.bench import git_sha, host_fingerprint
 
 
-def _record(name: str, wall: float, scale: float = 0.1) -> dict:
-    return make_bench_record(
-        name=name, wall_seconds=wall, scale=scale, jobs=2,
-        sim_cycles=10_000, sim_flits=50_000,
-    )
-
-
-class TestRecords:
-    def test_make_record_is_schema_valid(self):
-        record = _record("fig06", 2.5)
-        assert record["schema"] == BENCH_SCHEMA
-        assert validate_bench_record(record) == []
-        assert record["cycles_per_sec"] == 10_000 / 2.5
-        assert record["host"] == host_fingerprint()
-
-    def test_validate_rejects_broken_records(self):
-        assert validate_bench_record("nope")
-        assert validate_bench_record({})
-        bad_wall = _record("x", 1.0)
-        bad_wall["wall_seconds"] = 0.0
-        assert any(
-            "positive" in err for err in validate_bench_record(bad_wall)
-        )
-        bad_type = _record("x", 1.0)
-        bad_type["jobs"] = True  # bool is not an acceptable int here
-        assert any(
-            "jobs" in err for err in validate_bench_record(bad_type)
-        )
-        bad_schema = _record("x", 1.0)
-        bad_schema["schema"] = "other/9"
-        assert validate_bench_record(bad_schema)
-
-    def test_write_and_load_roundtrip(self, tmp_path):
-        path = write_bench_record(str(tmp_path), _record("fig06", 2.5))
-        assert path.endswith(bench_filename("fig06"))
-        records, notes = load_bench_dir(str(tmp_path))
-        assert notes == []
-        assert records["fig06"]["wall_seconds"] == 2.5
-
-    def test_load_skips_invalid_files_with_notes(self, tmp_path):
-        write_bench_record(str(tmp_path), _record("good", 1.0))
-        (tmp_path / "BENCH_corrupt.json").write_text("{not json")
-        (tmp_path / "BENCH_invalid.json").write_text(
-            json.dumps({"schema": BENCH_SCHEMA})
-        )
-        (tmp_path / "unrelated.json").write_text("{}")
-        records, notes = load_bench_dir(str(tmp_path))
-        assert set(records) == {"good"}
-        assert len(notes) == 2
-
-    def test_load_missing_directory_is_a_note(self, tmp_path):
-        records, notes = load_bench_dir(str(tmp_path / "nowhere"))
-        assert records == {}
-        assert len(notes) == 1
-
-
-class TestCompare:
-    def test_detects_synthetic_2x_slowdown(self, tmp_path):
-        old, new = tmp_path / "old", tmp_path / "new"
-        write_bench_record(str(old), _record("fig06", 2.0))
-        write_bench_record(str(new), _record("fig06", 4.0))  # 2x slower
-        comparison = compare_bench_dirs(
-            str(old), str(new), threshold_pct=25.0
-        )
-        assert comparison.exit_code == 1
-        assert comparison.regressions == ["fig06"]
-        rendered = comparison.render()
-        assert "regressed" in rendered
-        assert "REGRESSED: fig06" in rendered
-        assert "+100.0" in rendered
-
-    def test_within_threshold_is_ok(self, tmp_path):
-        old, new = tmp_path / "old", tmp_path / "new"
-        write_bench_record(str(old), _record("fig06", 2.0))
-        write_bench_record(str(new), _record("fig06", 2.2))
-        comparison = compare_bench_dirs(
-            str(old), str(new), threshold_pct=25.0
-        )
-        assert comparison.exit_code == 0
-        assert comparison.rows[0]["status"] == "ok"
-
-    def test_improvement_is_reported_not_failed(self, tmp_path):
-        old, new = tmp_path / "old", tmp_path / "new"
-        write_bench_record(str(old), _record("fig06", 4.0))
-        write_bench_record(str(new), _record("fig06", 1.0))
-        comparison = compare_bench_dirs(str(old), str(new))
-        assert comparison.exit_code == 0
-        assert comparison.rows[0]["status"] == "improved"
-
-    def test_missing_baseline_reports_new_not_crash(self, tmp_path):
-        """The graceful-degradation fix: a benchmark with no baseline
-        record (or a wholly absent baseline directory) reports as
-        ``new`` with exit status 0."""
-        old, new = tmp_path / "old", tmp_path / "new"
-        write_bench_record(str(new), _record("fig06", 2.0))
-        # old directory does not even exist
-        comparison = compare_bench_dirs(str(old), str(new))
-        assert comparison.exit_code == 0
-        assert comparison.rows[0]["status"] == "new"
-        assert any("not a readable directory" in n for n in comparison.notes)
-
-    def test_partial_baseline_mixes_new_and_compared(self, tmp_path):
-        old, new = tmp_path / "old", tmp_path / "new"
-        write_bench_record(str(old), _record("fig06", 2.0))
-        write_bench_record(str(new), _record("fig06", 2.1))
-        write_bench_record(str(new), _record("fig07", 1.0))
-        comparison = compare_bench_dirs(str(old), str(new))
-        statuses = {
-            row["benchmark"]: row["status"] for row in comparison.rows
-        }
-        assert statuses == {"fig06": "ok", "fig07": "new"}
-        assert comparison.exit_code == 0
-
-    def test_benchmark_missing_from_new_set(self, tmp_path):
-        old, new = tmp_path / "old", tmp_path / "new"
-        write_bench_record(str(old), _record("fig06", 2.0))
-        new.mkdir()
-        comparison = compare_bench_dirs(str(old), str(new))
-        assert comparison.exit_code == 0
-        assert comparison.rows[0]["status"] == "missing"
-
-    def test_scale_mismatch_is_skipped(self, tmp_path):
-        old, new = tmp_path / "old", tmp_path / "new"
-        write_bench_record(str(old), _record("fig06", 2.0, scale=0.1))
-        write_bench_record(str(new), _record("fig06", 9.0, scale=1.0))
-        comparison = compare_bench_dirs(str(old), str(new))
-        assert comparison.exit_code == 0
-        assert comparison.rows[0]["status"] == "skipped"
-        assert any("scale mismatch" in note for note in comparison.notes)
-
-    def test_empty_directories_render_without_rows(self, tmp_path):
-        (tmp_path / "old").mkdir()
-        (tmp_path / "new").mkdir()
-        comparison = compare_bench_dirs(
-            str(tmp_path / "old"), str(tmp_path / "new")
-        )
-        assert comparison.exit_code == 0
-        assert "no benchmarks found" in comparison.render()
-
-
-class TestCompareCli:
-    def test_cli_exit_codes_and_output(self, tmp_path, capsys):
-        from repro.perf.__main__ import main
-
-        old, new = tmp_path / "old", tmp_path / "new"
-        write_bench_record(str(old), _record("fig06", 2.0))
-        write_bench_record(str(new), _record("fig06", 4.0))
-        assert main(["compare", str(old), str(new)]) == 1
-        assert "regressed" in capsys.readouterr().out
-        # A generous threshold turns the same diff into a pass.
-        assert (
-            main(["compare", str(old), str(new), "--threshold", "150"])
-            == 0
-        )
-
-    def test_cli_survives_missing_baseline(self, tmp_path, capsys):
-        from repro.perf.__main__ import main
-
-        new = tmp_path / "new"
-        write_bench_record(str(new), _record("fig06", 2.0))
-        assert main(["compare", str(tmp_path / "nowhere"), str(new)]) == 0
-        out = capsys.readouterr().out
-        assert "new" in out
-        assert "note:" in out
+def test_host_fingerprint_and_git_sha(tmp_path):
+    host = host_fingerprint()
+    assert set(host) == {"platform", "machine", "python", "cpu_count"}
+    assert host["python"] == platform.python_version()
+    assert host["cpu_count"] >= 1
+    # Outside a git checkout there is no SHA, and no exception.
+    assert git_sha(str(tmp_path)) is None
+    sha = git_sha()
+    assert sha is None or (len(sha) == 40 and int(sha, 16) >= 0)

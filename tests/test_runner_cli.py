@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.experiments.cli import (
@@ -164,6 +166,20 @@ class TestFaultFlags:
         # Faulted rows must never enter (or be served from) the
         # healthy-result cache.
         assert os.environ["REPRO_NO_CACHE"] == "1"
+
+
+class TestExplainFlag:
+    @pytest.mark.parametrize("spec", ["", " "])
+    def test_empty_spec_is_a_usage_error(self, monkeypatch, capsys, spec):
+        # An empty spec would be exported as REPRO_EXPLAIN="", which
+        # reads as off: the run would disable the cache yet attribute
+        # nothing.  It must fail at parse time instead.
+        monkeypatch.delenv("REPRO_EXPLAIN", raising=False)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table02", "--explain", spec])
+        assert excinfo.value.code == 2
+        assert "--explain" in capsys.readouterr().err
+        assert "REPRO_EXPLAIN" not in os.environ
 
 
 class TestBackendFlag:

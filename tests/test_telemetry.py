@@ -313,6 +313,24 @@ class TestTraceExport:
         instants = [e for e in events if e["ph"] == "i"]
         assert len(instants) == len(hub.rcs_events)
 
+    def test_trace_is_independent_of_earlier_points(self, tmp_path):
+        """Packet ids in the trace are hub-relative: the same point
+        writes the same bytes whether or not the process simulated
+        something else first (as a sweep worker does)."""
+
+        def trace_bytes(out_dir) -> bytes:
+            fabric = gated_fabric()
+            hub = TelemetryHub(
+                fabric, period=16, out_dir=str(out_dir)
+            ).attach()
+            run_traffic(fabric, 300)
+            with open(hub.flush()["trace"], "rb") as handle:
+                return handle.read()
+
+        first = trace_bytes(tmp_path / "first")
+        run_traffic(gated_fabric(seed=4), 300)  # an unrelated point
+        assert trace_bytes(tmp_path / "second") == first
+
     def test_validator_flags_broken_documents(self):
         assert validate_trace([]) == ["document is not a JSON object"]
         assert validate_trace({}) == ["missing or non-list traceEvents"]
